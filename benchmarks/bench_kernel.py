@@ -22,8 +22,8 @@ N_EVENTS = 2_000 if smoke_run() else 100_000
 
 #: Conservative events/second floors (see module docstring).  Locally
 #: measured: ~490k ev/s draining a pre-built 100k-entry heap, ~750k
-#: ev/s through full processes (~1.2M with pooling), ~800k ev/s for
-#: bare callbacks (CPython 3.11, single-core container).
+#: ev/s through full processes, ~800k ev/s for bare callbacks
+#: (CPython 3.11, single-core container).
 MIN_TIMEOUT_RATE = 25_000.0
 MIN_PROCESS_RATE = 60_000.0
 
@@ -60,13 +60,13 @@ def _ticker(env, n):
         yield timeout(1.0)
 
 
-def _run_processes(n_processes, events_per_process, pool=False):
-    """Run *n_processes* tickers to completion; returns (time, env)."""
-    env = Environment(pool=pool)
+def _run_processes(n_processes, events_per_process):
+    """Run *n_processes* tickers to completion; returns the end time."""
+    env = Environment()
     for _ in range(n_processes):
         env.process(_ticker(env, events_per_process))
     env.run()
-    return env.now, env
+    return env.now
 
 
 def _events_per_second(benchmark, events):
@@ -100,28 +100,8 @@ def test_kernel_callback_throughput(benchmark):
 def test_kernel_process_throughput(benchmark):
     """Full path: timeout -> callback -> generator resume -> schedule."""
     per_process = N_EVENTS // N_PROCESSES
-    final_time = benchmark(
-        lambda: _run_processes(N_PROCESSES, per_process)[0]
-    )
+    final_time = benchmark(lambda: _run_processes(N_PROCESSES, per_process))
     assert final_time == float(per_process)
-    rate = _events_per_second(benchmark, N_EVENTS)
-    if rate is not None and not smoke_run():
-        assert rate > MIN_PROCESS_RATE, "kernel regression: {:.0f} ev/s".format(rate)
-
-
-def test_kernel_pooled_process_throughput(benchmark):
-    """The process path with the Timeout/Event free lists enabled."""
-    per_process = N_EVENTS // N_PROCESSES
-
-    def run():
-        final_time, env = _run_processes(N_PROCESSES, per_process, pool=True)
-        return final_time, env.pool_stats()
-
-    final_time, pool_stats = benchmark(run)
-    assert final_time == float(per_process)
-    # The single-waiter timeouts of the tickers must actually recycle.
-    assert pool_stats["timeout_reused"] > 0
-    benchmark.extra_info["pool_stats"] = pool_stats
     rate = _events_per_second(benchmark, N_EVENTS)
     if rate is not None and not smoke_run():
         assert rate > MIN_PROCESS_RATE, "kernel regression: {:.0f} ev/s".format(rate)

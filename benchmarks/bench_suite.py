@@ -4,15 +4,14 @@ Measures the two layers the reproduction's wall time depends on and
 writes one JSON artifact per layer:
 
 ``BENCH_kernel.json``
-    Raw DES kernel throughput (events/second) for four workloads —
-    timeout drain, bare callbacks, the process path, and the process
-    path with Timeout/Event pooling — measured head-to-head under
-    every registered scheduler backend (``heap`` and ``calendar``),
-    plus the kernel free-list counters of the pooled run and a
+    Raw DES kernel throughput (events/second) for three workloads —
+    timeout drain, bare callbacks and the process path — plus a
     ``metrics_overhead`` block comparing the simulation path with and
     without the live metrics registry attached (gated at 5% by
     ``--check``).  The process path uses the bare-delay tick style
-    (``yield 1.0``), the kernel's fastest dispatch path.
+    (``yield 1.0``), the kernel's fastest dispatch path.  These are
+    diagnostics of the kernel alone; the model's own end-to-end
+    numbers come from ``benchmarks/e2e/run.py``.
 ``BENCH_sweep.json``
     A small locking-granularity sweep through the global work queue:
     per-cell wall times, queue wait, worker occupancy and total
@@ -47,7 +46,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.parameters import SimulationParameters  # noqa: E402
-from repro.des import Environment, available_schedulers  # noqa: E402
+from repro.des import Environment  # noqa: E402
 from repro.experiments.config import ExperimentSpec  # noqa: E402
 from repro.experiments.runner import run_experiment, run_experiments  # noqa: E402
 
@@ -66,8 +65,8 @@ def _tolerance():
 # -- kernel workloads ----------------------------------------------------
 
 
-def _timeout_drain(n, scheduler="heap"):
-    env = Environment(scheduler=scheduler)
+def _timeout_drain(n):
+    env = Environment()
     timeout = env.timeout
     for i in range(n):
         timeout(float(i % 97))
@@ -75,8 +74,8 @@ def _timeout_drain(n, scheduler="heap"):
     return n
 
 
-def _callback_drain(n, scheduler="heap"):
-    env = Environment(scheduler=scheduler)
+def _callback_drain(n):
+    env = Environment()
     fired = [0]
 
     def tick():
@@ -96,64 +95,41 @@ def _ticker(env, n):
         yield 1.0
 
 
-def _process_path(n, pool, scheduler="heap"):
-    env = Environment(pool=pool, scheduler=scheduler)
+def _process_path(n):
+    env = Environment()
     n_processes = 10
     for _ in range(n_processes):
         env.process(_ticker(env, n // n_processes))
     env.run()
-    return env
 
 
 def _best_rate(workload, events, repeats):
     """Best-of-*repeats* events/second for one kernel workload."""
     best = 0.0
-    result = None
     for _ in range(repeats):
         start = perf_counter()
-        result = workload(events)
-        elapsed = perf_counter() - start
-        best = max(best, events / elapsed)
-    return best, result
+        workload(events)
+        best = max(best, events / (perf_counter() - start))
+    return best
 
 
 def bench_kernel():
-    """Kernel throughput measurements; returns the BENCH_kernel dict.
-
-    Every workload runs under every registered scheduler backend so
-    the artifact records a true head-to-head comparison; the top-level
-    ``events_per_second`` block stays the default (heap) numbers for
-    baseline-file compatibility.
-    """
+    """Kernel throughput measurements; returns the BENCH_kernel dict."""
     events = 20_000 if _smoke() else 200_000
     repeats = 2 if _smoke() else 3
-    schedulers = {}
-    pool_stats = None
-    for sched in available_schedulers():
-        rates = {}
-        rates["timeout_drain"], _ = _best_rate(
-            lambda n: _timeout_drain(n, sched), events, repeats
-        )
-        rates["callbacks"], _ = _best_rate(
-            lambda n: _callback_drain(n, sched), events, repeats
-        )
-        rates["process"], _ = _best_rate(
-            lambda n: _process_path(n, pool=False, scheduler=sched),
-            events, repeats,
-        )
-        rates["process_pooled"], env = _best_rate(
-            lambda n: _process_path(n, pool=True, scheduler=sched),
-            events, repeats,
-        )
-        schedulers[sched] = {k: round(v) for k, v in rates.items()}
-        if sched == "heap":
-            pool_stats = env.pool_stats()
+    workloads = {
+        "timeout_drain": _timeout_drain,
+        "callbacks": _callback_drain,
+        "process": _process_path,
+    }
+    rates = {
+        name: round(_best_rate(workload, events, repeats))
+        for name, workload in workloads.items()
+    }
     return {
         "mode": "smoke" if _smoke() else "full",
         "events_per_workload": events,
-        "events_per_second": schedulers["heap"],
-        "schedulers": schedulers,
-        "pool_stats": pool_stats,
+        "events_per_second": rates,
         "metrics_overhead": bench_metrics_overhead(),
     }
 
@@ -358,34 +334,18 @@ def check_kernel(current):
         baseline = json.load(handle)
     tolerance = _tolerance()
     failures = []
-    schedulers = current.get("schedulers") or {
-        "heap": current["events_per_second"]
-    }
-    for sched, rates in sorted(schedulers.items()):
-        for name, floor in baseline["events_per_second"].items():
-            measured = rates.get(name)
-            if measured is None:
-                failures.append(
-                    "workload {!r} missing from {} run".format(name, sched)
-                )
-                continue
-            allowed = floor * (1.0 - tolerance)
-            if measured < allowed:
-                failures.append(
-                    "{}/{}: {:.0f} ev/s < {:.0f} "
-                    "(baseline {:.0f} - {:.0%})".format(
-                        sched, name, measured, allowed, floor, tolerance
-                    )
-                )
-    # The calendar backend exists to beat the heap on drain-heavy
-    # workloads; hold it to that (within the same noise tolerance).
-    if "calendar" in schedulers and "heap" in schedulers:
-        heap_drain = schedulers["heap"]["timeout_drain"]
-        calendar_drain = schedulers["calendar"]["timeout_drain"]
-        if calendar_drain < heap_drain * (1.0 - tolerance):
+    rates = current["events_per_second"]
+    for name, floor in baseline["events_per_second"].items():
+        measured = rates.get(name)
+        if measured is None:
+            failures.append("workload {!r} missing from the run".format(name))
+            continue
+        allowed = floor * (1.0 - tolerance)
+        if measured < allowed:
             failures.append(
-                "calendar timeout_drain {:.0f} ev/s no longer improves "
-                "on heap {:.0f} ev/s".format(calendar_drain, heap_drain)
+                "{}: {:.0f} ev/s < {:.0f} (baseline {:.0f} - {:.0%})".format(
+                    name, measured, allowed, floor, tolerance
+                )
             )
     failures.extend(check_metrics_overhead(current.get("metrics_overhead")))
     return failures
@@ -434,11 +394,8 @@ def main(argv=None):
     kernel = bench_kernel()
     with open(out_dir / "BENCH_kernel.json", "w") as handle:
         json.dump(kernel, handle, indent=1, sort_keys=True)
-    for sched, rates in sorted(kernel["schedulers"].items()):
-        for name, rate in sorted(rates.items()):
-            print(
-                "kernel {:9s} {:16s} {:>10,} ev/s".format(sched, name, rate)
-            )
+    for name, rate in sorted(kernel["events_per_second"].items()):
+        print("kernel {:16s} {:>10,} ev/s".format(name, rate))
     overhead = kernel["metrics_overhead"]
     print(
         "kernel metrics overhead {:+.1%} ({}s plain, {}s instrumented, "

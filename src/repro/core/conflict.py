@@ -19,23 +19,10 @@ request is granted, and if not, *which* active transaction blocks it:
 
 Both expose the same three operations: ``request`` (grant or name a
 blocker), ``release``, and ``active_count``.
-
-:class:`VectorizedConflicts` is a drop-in accelerated variant of the
-probabilistic engine: identical decisions drawn from the identical
-random stream, with the interval scan done by numpy when the active
-set is large enough to amortise the array overhead (and a plain
-scalar scan otherwise, or whenever numpy is not installed).
 """
-
-import os
 
 from repro.lockmgr.manager import LockManager
 from repro.lockmgr.modes import LockMode
-
-try:  # numpy is an optional extra (``pip install .[fast]``)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
 
 class ProbabilisticConflicts:
@@ -103,210 +90,6 @@ class ProbabilisticConflicts:
         """Drop *txn* from the active set (no-op if not active)."""
         self._active.pop(txn.tid, None)
         self._txn_map.pop(txn.tid, None)
-
-
-class VectorizedConflicts(ProbabilisticConflicts):
-    """Numpy-accelerated Ries–Stonebraker engine (decision-identical).
-
-    The scalar engine walks the active set in Python, accumulating
-    lock counts until the drawn threshold falls inside a transaction's
-    interval.  This variant keeps the same insertion-ordered dicts but
-    answers the scan with ``searchsorted`` over a cumulative-locks
-    array: the cumulative sums are the same sequential float64
-    additions, and ``side="left"`` returns exactly the first index
-    whose cumulative sum reaches the threshold — the scalar loop's
-    break point — so grant/block decisions (and the blocker identity)
-    are bit-identical for the same random stream.
-
-    The array is maintained incrementally rather than rebuilt: a grant
-    appends one partial sum, a release shifts the tail down by the
-    departing transaction's lock count in one C-level slice operation.
-    Lock counts are integers, so these float64 updates are exact and
-    the partial sums never drift from what a fresh scan would compute.
-
-    Two knobs tune the fast path without changing any decision:
-
-    ``batch`` (``REPRO_CONFLICT_BATCH``, default 64)
-        Uniform draws are prefetched from the conflict stream in
-        blocks of this size and consumed in order, so the stream
-        position advances early but the consumed sequence — the only
-        thing decisions depend on — is unchanged.  ``1`` disables
-        prefetching (every request draws on demand, exactly like the
-        scalar engine).
-    ``cutoff`` (``REPRO_CONFLICT_CUTOFF``, default 112)
-        Minimum active-set size for the numpy scan.  Below it the
-        scalar loop — which touches only ~half the set on average and
-        pays no per-call numpy overhead — wins; the measured crossover
-        on a release/request churn workload is k ≈ 112 actives (see
-        ``benchmarks/bench_sched.py --conflict``), with the numpy path
-        ~2x faster at k=256 and ~5x at k=1024.  Below the cutoff the
-        engine simply runs the scalar scan, which is
-        decision-identical anyway.
-
-    When numpy is missing the engine degrades to the scalar scan
-    (``vectorized`` reports ``False``) — same results, no hard
-    dependency.  :meth:`force_scalar` pins the scalar path for runs
-    that need per-event fidelity (traces, live metrics, faults).
-    """
-
-    def __init__(self, ltot, rng, batch=None, cutoff=None):
-        super().__init__(ltot, rng)
-        if batch is None:
-            batch = int(os.environ.get("REPRO_CONFLICT_BATCH") or 64)
-        if cutoff is None:
-            cutoff = int(os.environ.get("REPRO_CONFLICT_CUTOFF") or 112)
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        if cutoff < 0:
-            raise ValueError("cutoff must be >= 0")
-        self._batch = batch
-        self._cutoff = cutoff
-        self._forced_scalar = False
-        #: Prefetched uniforms, reversed so pop() consumes in draw order.
-        self._draws = []
-        #: Cumulative-locks buffer (float64, capacity-doubled) and the
-        #: matching insertion-ordered tid list; ``_n`` is the valid
-        #: prefix length.  Lock counts are integers, so every
-        #: incremental update below is exact in float64 (values stay
-        #: far under 2**53) and the partial sums stay bit-identical to
-        #: the scalar loop's running accumulation.  ``_dirty`` forces a
-        #: full rebuild — the initial state, and the escape hatch if a
-        #: non-integer lock count ever appears.
-        self._cum = None
-        self._tids = []
-        self._n = 0
-        self._dirty = True
-
-    @property
-    def vectorized(self):
-        """True when the numpy scan can be used for large active sets."""
-        return _np is not None and not self._forced_scalar
-
-    def force_scalar(self):
-        """Pin the scalar scan and on-demand draws.
-
-        Called by the model whenever traces, live metrics or fault
-        injection are attached: those consumers reason about per-event
-        state (including the conflict stream position), so the engine
-        must behave exactly like :class:`ProbabilisticConflicts`.
-        Already-prefetched draws are still consumed in order — the
-        decision sequence never changes, only future prefetching stops.
-        """
-        self._forced_scalar = True
-        self._batch = 1
-
-    def _next_draw(self):
-        d = self._draws
-        if not d:
-            if self._batch <= 1:
-                return self._rng.random()
-            rnd = self._rng.random
-            d.extend(rnd() for _ in range(self._batch))
-            d.reverse()
-        return d.pop()
-
-    def request(self, txn):
-        """Decide *txn*'s preclaim request (see the scalar engine).
-
-        Identical decision procedure; only the scan implementation is
-        chosen per call based on the active-set size.
-        """
-        if txn.tid in self._active:
-            raise ValueError("transaction {} already active".format(txn.tid))
-        # p is uniform on (0, 1]; random() is [0, 1), so mirror it.
-        p = 1.0 - self._next_draw()
-        threshold = p * self.ltot
-        active = self._active
-        k = len(active)
-        blocker = None
-        if (
-            k >= self._cutoff
-            and _np is not None
-            and not self._forced_scalar
-        ):
-            if self._dirty:
-                self._rebuild()
-            # side="left" returns the first index whose cumulative sum
-            # reaches the threshold — the scalar loop's break point.
-            j = int(
-                _np.searchsorted(self._cum[:k], threshold, side="left")
-            )
-            if j < k:
-                overlapped = self._txn_map[self._tids[j]]
-                if txn.is_writer or overlapped.is_writer:
-                    blocker = overlapped
-        else:
-            cumulative = 0.0
-            for tid, locks in active.items():
-                cumulative += locks
-                if threshold <= cumulative:
-                    overlapped = self._txn_map[tid]
-                    if txn.is_writer or overlapped.is_writer:
-                        blocker = overlapped
-                    break
-        if blocker is not None:
-            return blocker
-        locks = txn.lock_count
-        active[txn.tid] = locks
-        self._txn_map[txn.tid] = txn
-        if not self._dirty:
-            # Incremental append keeps the array warm: exact because
-            # lock counts are integers.
-            if locks.__class__ is int:
-                n = self._n
-                cum = self._cum
-                if n >= len(cum):
-                    self._grow(n)
-                    cum = self._cum
-                cum[n] = cum[n - 1] + locks if n else float(locks)
-                self._tids.append(txn.tid)
-                self._n = n + 1
-            else:
-                self._dirty = True
-        return None
-
-    def release(self, txn):
-        """Drop *txn* from the active set (no-op if not active)."""
-        locks = self._active.get(txn.tid)
-        super().release(txn)
-        if locks is None or self._dirty:
-            return
-        if locks.__class__ is int:
-            # C-speed removal: shift the tail of the cumulative array
-            # down by this transaction's (integer, hence exact) locks.
-            tids = self._tids
-            idx = tids.index(txn.tid)
-            n = self._n
-            cum = self._cum
-            cum[idx : n - 1] = cum[idx + 1 : n] - locks
-            tids.pop(idx)
-            self._n = n - 1
-        else:
-            self._dirty = True
-
-    def _rebuild(self):
-        """Recompute the cumulative array from the active dict.
-
-        ``cumsum`` performs the same sequential float64 accumulation
-        the scalar loop does, so partial sums match bit-for-bit.
-        """
-        active = self._active
-        k = len(active)
-        cap = max(64, 2 * k)
-        if self._cum is None or len(self._cum) < cap:
-            self._cum = _np.empty(cap, _np.float64)
-        _np.cumsum(
-            _np.fromiter(active.values(), _np.float64, k),
-            out=self._cum[:k],
-        )
-        self._tids = list(active)
-        self._n = k
-        self._dirty = False
-
-    def _grow(self, n):
-        new = _np.empty(max(64, 2 * len(self._cum)), _np.float64)
-        new[:n] = self._cum[:n]
-        self._cum = new
 
 
 class ExplicitConflicts:

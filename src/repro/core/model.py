@@ -12,7 +12,6 @@ streams, the metrics, the trace plumbing and the fork/join execution
 of granted transactions.
 """
 
-import os
 from itertools import count
 
 from repro.core.conflict import make_conflict_engine
@@ -72,9 +71,7 @@ class LockingGranularityModel:
     results are unchanged), ``fault_plan`` (inert when ``None`` or
     empty, otherwise drives crashes/slowdowns/stalls from its own
     streams), ``backoff`` (the default reproduces the historical
-    ``uniform(0, 1)`` draw bit-for-bit) and ``kernel_pool``
-    (Timeout/Event recycling — a pure allocator optimisation, results
-    pinned bit-identical by tests) and ``metrics_registry`` (a
+    ``uniform(0, 1)`` draw bit-for-bit) and ``metrics_registry`` (a
     :class:`repro.obs.metrics.MetricsRegistry`; live counters, gauges
     and lock-wait histograms updated as the run progresses — the
     instrumentation never schedules events or draws randomness, so
@@ -89,7 +86,6 @@ class LockingGranularityModel:
         telemetry=None,
         fault_plan=None,
         backoff=None,
-        kernel_pool=None,
         metrics_registry=None,
     ):
         params.validate()
@@ -105,9 +101,7 @@ class LockingGranularityModel:
             self.trace = MultiSink(sinks)
         else:
             self.trace = sinks[0] if sinks else None
-        if kernel_pool is None:
-            kernel_pool = os.environ.get("REPRO_KERNEL_POOL", "1") != "0"
-        self.env = Environment(pool=kernel_pool)
+        self.env = Environment()
         streams = RandomStreams(params.seed)
         self.rngs = {name: streams.stream(name) for name in _STREAMS}
         self.backoff = backoff if backoff is not None else FixedUniformBackoff()
@@ -167,13 +161,6 @@ class LockingGranularityModel:
             resolve("conflict", params.conflict_engine), "needs_granules", False
         )
         self.conflicts = make_conflict_engine(params, streams.stream("conflict"))
-        if self.trace is not None or metrics_registry is not None or self._injector is not None:
-            # Traces, live metrics and fault injection all reason about
-            # per-event state (including the conflict stream position),
-            # so an accelerated engine must pin its exact-scalar path.
-            force_scalar = getattr(self.conflicts, "force_scalar", None)
-            if force_scalar is not None:
-                force_scalar()
         policy = make_admission_policy(params)
         if metrics_registry is not None:
             # Imported directly (not via repro.obs, whose __init__

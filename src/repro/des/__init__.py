@@ -5,7 +5,7 @@ study.  It provides the same programming model as SimPy (which is not
 available in this offline environment): an :class:`Environment` drives an
 event heap, generator functions become :class:`Process` instances, and
 processes synchronise by yielding :class:`Event` objects such as
-:class:`Timeout`, resource requests, or fork/join conditions.
+:class:`Timeout` or fork/join conditions.
 
 The kernel adds one component that SimPy does not ship directly: a
 single-capacity :class:`Server` with preemptive-resume priority service
@@ -30,28 +30,18 @@ Example
 [('fast', 1.0), ('slow', 2.0), ('fast', 2.0), ('fast', 3.0), ('slow', 4.0), ('fast', 4.0)]
 """
 
-from repro.des.calendar import CalendarEnvironment
-from repro.des.engine import (
-    Environment,
-    KernelStats,
-    ProfiledEnvironment,
-    available_schedulers,
-    scheduler_class,
-)
+from repro.des.engine import Environment, KernelStats, ProfiledEnvironment
 from repro.des.errors import Interrupt, SimulationError, StopSimulation
 from repro.des.events import AllOf, AnyOf, Event, Timeout
 from repro.des.monitor import Tally, TimeWeighted
 from repro.des.process import Process
-from repro.des.resource import Request, Resource
 from repro.des.rng import RandomStreams
 from repro.des.server import Server
-from repro.des.store import Store
 from repro.des.trace import Trace, TraceRecord
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarEnvironment",
     "Environment",
     "Event",
     "Interrupt",
@@ -59,17 +49,12 @@ __all__ = [
     "Process",
     "ProfiledEnvironment",
     "RandomStreams",
-    "Request",
-    "Resource",
     "Server",
     "SimulationError",
     "StopSimulation",
-    "Store",
     "Tally",
     "Timeout",
     "TimeWeighted",
     "Trace",
     "TraceRecord",
-    "available_schedulers",
-    "scheduler_class",
 ]

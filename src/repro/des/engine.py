@@ -1,11 +1,9 @@
 """The simulation environment: clock, event scheduler, and run loop."""
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
-from sys import getrefcount
 from time import perf_counter
 from typing import Dict, Optional
 
@@ -15,7 +13,7 @@ from repro.des.errors import (
     SimulationStalled,
     StopSimulation,
 )
-from repro.des.events import NORMAL, PENDING, AllOf, AnyOf, Event, Timeout
+from repro.des.events import NORMAL, AllOf, AnyOf, Event, Timeout
 from repro.des.process import _TICK, Process
 
 
@@ -66,80 +64,20 @@ class Environment:
     ``(priority, insertion order)``, which makes runs fully
     deterministic for a fixed seed.
 
-    The future-event list is pluggable.  ``Environment(...)`` itself is
-    the binary-heap backend; passing ``scheduler="calendar"`` (or
-    setting ``REPRO_KERNEL_SCHED=calendar``) transparently constructs
-    the bucketed calendar-queue backend instead.  Every backend
-    preserves the exact ``(time, priority, eid)`` total order, so the
-    choice is invisible to simulation results — only throughput
-    changes.
-
     Parameters
     ----------
     initial_time:
         Starting value of the simulation clock (default ``0.0``).
-    pool:
-        Enable the Timeout/Event free lists: processed events that are
-        provably unreferenced (checked by refcount) are reset and
-        reused by the :meth:`timeout` / :meth:`event` factories instead
-        of being garbage.  Results are bit-identical with pooling on or
-        off; see DESIGN.md for the recycling contract.
-    scheduler:
-        Scheduler backend name (``"heap"`` or ``"calendar"``).  When
-        ``None``, the ``REPRO_KERNEL_SCHED`` environment variable is
-        consulted, defaulting to ``"heap"``.
     """
 
-    #: Registry name of this backend (subclasses override).
-    SCHEDULER = "heap"
+    __slots__ = ("_now", "_heap", "_eid", "_dispatched", "_live_procs")
 
-    __slots__ = (
-        "_now",
-        "_heap",
-        "_eid",
-        "_dispatched",
-        "_live_procs",
-        "_pool",
-        "_timeout_pool",
-        "_event_pool",
-        "_timeout_reuses",
-        "_event_reuses",
-        "_timeout_creates",
-        "_event_creates",
-    )
-
-    def __new__(cls, initial_time=0.0, pool=False, scheduler=None):
-        # Backend dispatch happens here so existing call sites keep
-        # constructing ``Environment(...)`` and transparently get the
-        # selected scheduler subclass.  Subclasses (Profiled, Calendar)
-        # constructed directly are never redirected.
-        if cls is Environment:
-            name = scheduler or os.environ.get("REPRO_KERNEL_SCHED") or "heap"
-            if name != "heap":
-                cls = scheduler_class(name)
-        return object.__new__(cls)
-
-    def __init__(self, initial_time=0.0, pool=False, scheduler=None):
-        if scheduler is not None and scheduler != self.SCHEDULER:
-            # Only reachable by constructing a subclass directly with a
-            # conflicting name, e.g. CalendarEnvironment(scheduler="heap").
-            raise ValueError(
-                "scheduler {!r} conflicts with {}".format(
-                    scheduler, type(self).__name__
-                )
-            )
+    def __init__(self, initial_time=0.0):
         self._now = float(initial_time)
         self._heap = []
         self._eid = count()
         self._dispatched = 0
         self._live_procs = 0
-        self._pool = bool(pool)
-        self._timeout_pool = []
-        self._event_pool = []
-        self._timeout_reuses = 0
-        self._event_reuses = 0
-        self._timeout_creates = 0
-        self._event_creates = 0
 
     @property
     def now(self):
@@ -161,39 +99,12 @@ class Environment:
         """Events currently scheduled on the heap (cheap)."""
         return len(self._heap)
 
-    @property
-    def pooling(self):
-        """True when the Timeout/Event free lists are enabled."""
-        return self._pool
-
-    @property
-    def scheduler(self):
-        """Registry name of the active scheduler backend."""
-        return self.SCHEDULER
-
     def kernel_stats(self):
         """Current :class:`KernelStats` snapshot (cheap counters only)."""
         return KernelStats(
             events_dispatched=self._dispatched,
             heap_length=self.heap_depth,
         )
-
-    def pool_stats(self):
-        """Free-list occupancy, reuse and allocation counters (cheap).
-
-        ``timeout_created``/``event_created`` count factory calls that
-        missed the free list — reuse / (reuse + created) is the pool
-        hit rate the live-metrics layer exports.
-        """
-        return {
-            "enabled": self._pool,
-            "timeout_free": len(self._timeout_pool),
-            "event_free": len(self._event_pool),
-            "timeout_reused": self._timeout_reuses,
-            "event_reused": self._event_reuses,
-            "timeout_created": self._timeout_creates,
-            "event_created": self._event_creates,
-        }
 
     # -- scheduling ----------------------------------------------------
 
@@ -284,10 +195,6 @@ class Environment:
             when, _, eid, event = heappop(self._heap)
         except IndexError:
             raise EmptySchedule("no scheduled events") from None
-        self._consume(when, eid, event)
-
-    def _consume(self, when, eid, event):
-        """Dispatch one popped queue entry (shared by all backends)."""
         self._now = when
         if event.__class__ is Process and event._target is _TICK:
             self._tick(event, eid)
@@ -306,37 +213,16 @@ class Environment:
             callback(event)
         if not event._ok and not event._defused:
             raise event._value
-        if self._pool:
-            # `event` local + getrefcount's argument == 2: nothing else
-            # references the object, so recycling cannot leak state.
-            if event.__class__ is Timeout:
-                if getrefcount(event) == 2:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event._value = PENDING
-                    event._defused = False
-                    self._timeout_pool.append(event)
-            elif event.__class__ is Event and getrefcount(event) == 2:
-                callbacks.clear()
-                event.callbacks = callbacks
-                event._value = PENDING
-                event._ok = None
-                event._defused = False
-                self._event_pool.append(event)
 
     def _dispatch(self, stop_at, timeout):
         """The hot loop: pop-and-dispatch until *stop_at* is passed.
 
         This is :meth:`step` inlined (no per-event method call), with
-        the bare-callback branch, the single-waiter fast path and the
-        free-list recycler folded in.  The dispatch count lives in a
-        local and is folded into the instance counter once on exit.
+        the tick, bare-callback and single-waiter fast paths folded in.
+        The dispatch count lives in a local and is folded into the
+        instance counter once on exit.
         """
         heap = self._heap
-        pooling = self._pool
-        timeout_pool = self._timeout_pool
-        event_pool = self._event_pool
-        getrefs = getrefcount
         nexteid = self._eid.__next__
         deadline = None if timeout is None else perf_counter() + timeout
         dispatched = 0
@@ -348,7 +234,7 @@ class Environment:
                 if event.__class__ is Process and event._target is _TICK:
                     # Tick fast path: the process sleeps on a bare
                     # delay, so resume the generator directly — no
-                    # event object, no callback list, no recycling.
+                    # event object, no callback list.
                     if event._tick_eid == eid:
                         try:
                             delay = event._generator.send(None)
@@ -387,29 +273,6 @@ class Environment:
                             callback(event)
                         if not event._ok and not event._defused:
                             raise event._value
-                        if pooling:
-                            # `event` local + getrefcount's argument == 2:
-                            # nothing else references the object, so
-                            # recycling cannot leak state (conditions,
-                            # generators or monitors holding it keep the
-                            # refcount higher and the object alive).
-                            if event.__class__ is Timeout:
-                                if getrefs(event) == 2:
-                                    callbacks.clear()
-                                    event.callbacks = callbacks
-                                    event._value = PENDING
-                                    event._defused = False
-                                    timeout_pool.append(event)
-                            elif (
-                                event.__class__ is Event
-                                and getrefs(event) == 2
-                            ):
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                                event._value = PENDING
-                                event._ok = None
-                                event._defused = False
-                                event_pool.append(event)
                 if deadline is not None and not dispatched & 1023:
                     # The wall-clock guard is checked once every 1024
                     # events so the budget costs one masked compare
@@ -487,31 +350,11 @@ class Environment:
     # -- factories -----------------------------------------------------
 
     def event(self):
-        """Create (or recycle) a fresh, untriggered :class:`Event`."""
-        pool = self._event_pool
-        if pool:
-            # Recycled events were fully reset when pooled, so reuse
-            # is a pop and a counter bump.
-            self._event_reuses += 1
-            return pool.pop()
-        self._event_creates += 1
+        """Create a fresh, untriggered :class:`Event`."""
         return Event(self)
 
     def timeout(self, delay, value=None):
-        """Create (or recycle) a :class:`Timeout` firing after *delay*."""
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError("negative delay {}".format(delay))
-            self._timeout_reuses += 1
-            t = pool.pop()
-            t._delay = delay
-            t._value = value
-            heappush(
-                self._heap, (self._now + delay, NORMAL, next(self._eid), t)
-            )
-            return t
-        self._timeout_creates += 1
+        """Create a :class:`Timeout` firing after *delay*."""
         return Timeout(self, delay, value)
 
     def process(self, generator):
@@ -537,14 +380,13 @@ class ProfiledEnvironment(Environment):
     scheduled through :meth:`Environment.schedule_callback` are
     counted as ``Callback``).  That bookkeeping costs a few percent of
     raw event throughput, so it lives in a subclass and the production
-    simulation keeps the plain kernel.  The free-list pool is disabled
-    here: a profiling run should see real allocation behaviour.
+    simulation keeps the plain kernel.
     """
 
     __slots__ = ("_heap_peak", "_type_counts", "_run_seconds")
 
     def __init__(self, initial_time=0.0):
-        super().__init__(initial_time, pool=False)
+        super().__init__(initial_time)
         self._heap_peak = 0
         self._type_counts = Counter()
         self._run_seconds = 0.0
@@ -650,37 +492,3 @@ class ProfiledEnvironment(Environment):
 
 def _stop_on_event(event):
     raise StopSimulation(event.value)
-
-
-#: Scheduler backend registry.  Values are either a class or a lazy
-#: ``"module:attr"`` string resolved (and cached) on first use — the
-#: calendar backend lives in its own module and importing it here
-#: eagerly would be a cycle.
-_SCHEDULERS = {
-    "heap": Environment,
-    "calendar": "repro.des.calendar:CalendarEnvironment",
-}
-
-
-def scheduler_class(name):
-    """Resolve a scheduler backend name to its Environment subclass."""
-    try:
-        entry = _SCHEDULERS[name]
-    except KeyError:
-        raise ValueError(
-            "unknown scheduler {!r}; choose from {}".format(
-                name, ", ".join(sorted(_SCHEDULERS))
-            )
-        ) from None
-    if isinstance(entry, str):
-        import importlib
-
-        module_name, _, attr = entry.partition(":")
-        entry = getattr(importlib.import_module(module_name), attr)
-        _SCHEDULERS[name] = entry
-    return entry
-
-
-def available_schedulers():
-    """Sorted names of the registered scheduler backends."""
-    return sorted(_SCHEDULERS)

@@ -11,7 +11,7 @@ power over running transactions for I/O and CPU resources".
 
 from repro.engine.machine import Machine
 from repro.engine.processor import LOCK_PRIORITY, TXN_PRIORITY, Processor
-from repro.engine.txn_scheduler import (
+from repro.policies.admission import (
     AdaptiveAdmission,
     FCFSAdmission,
     SmallestFirstAdmission,

@@ -13,11 +13,11 @@ Design rules, in priority order:
    ``tests/obs/test_metrics.py``).
 2. **Disabled means free.**  A disabled registry hands every caller
    the same shared no-op instrument, and every instrumentation site in
-   the model guards with a single ``is not None`` branch — the 692k
-   ev/s pooled process path is preserved (gated by
+   the model guards with a single ``is not None`` branch, so an
+   uninstrumented run pays nothing (measured by
    ``benchmarks/bench_suite.py``).
 3. **The kernel inner loop is never instrumented.**  Kernel quantities
-   (events dispatched, heap depth, pool hit rate) are *polled* by
+   (events dispatched, heap depth) are *polled* by
    registered collectors at snapshot/scrape time, costing zero inside
    :meth:`repro.des.engine.Environment.run`.
 
@@ -623,11 +623,6 @@ class RunInstruments:
         self.kernel_heap = gauge(
             "repro_kernel_heap_depth", "Scheduled events on the kernel heap."
         ).labels()
-        self._pool_hit_rate = gauge(
-            "repro_kernel_pool_hit_rate",
-            "Fraction of Timeout/Event factory calls served from the "
-            "free lists.",
-        ).labels()
 
     # -- hooks called by the layers (single-branch guarded call sites) --
 
@@ -683,18 +678,11 @@ class RunInstruments:
     # -- collectors (polled at snapshot time; never in the hot loop) ----
 
     def attach_kernel(self, env):
-        """Poll kernel counters (dispatch count, heap, pool) on scrape."""
+        """Poll kernel counters (dispatch count, heap depth) on scrape."""
 
         def collect():
             self._kernel_events.set(env.events_dispatched)
             self.kernel_heap.set(env.heap_depth)
-            pool = env.pool_stats()
-            reused = pool["timeout_reused"] + pool["event_reused"]
-            created = pool.get("timeout_created", 0) + pool.get(
-                "event_created", 0
-            )
-            total = reused + created
-            self._pool_hit_rate.set(reused / total if total else 0.0)
 
         self.registry.add_collector(collect)
 

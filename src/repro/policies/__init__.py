@@ -81,8 +81,6 @@ _BUILTINS = (
      "relations on a random subset of disks; PU ~ U{1..npros}"),
     ("conflict", "probabilistic", "repro.policies.conflict:probabilistic",
      "the paper's Ries-Stonebraker interval conflict model"),
-    ("conflict", "vectorized", "repro.policies.conflict:vectorized",
-     "numpy-accelerated interval model (decision-identical, scalar fallback)"),
     ("conflict", "explicit", "repro.policies.conflict:explicit",
      "a real flat lock table over materialised granule sets"),
     ("conflict", "hierarchical", "repro.policies.conflict:hierarchical",

@@ -36,19 +36,6 @@ probabilistic.table_backed = False
 probabilistic.supports_granule_cc = False
 
 
-def vectorized(params, rng):
-    """Numpy-accelerated interval model; identical decisions and
-    random stream, scalar fallback when numpy is unavailable."""
-    from repro.core.conflict import VectorizedConflicts
-
-    return VectorizedConflicts(params.ltot, rng)
-
-
-vectorized.needs_granules = False
-vectorized.table_backed = False
-vectorized.supports_granule_cc = False
-
-
 def explicit(params, rng):
     """A real flat lock table over materialised granule sets."""
     return ExplicitConflicts()

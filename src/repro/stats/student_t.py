@@ -1,10 +1,7 @@
-"""Student-t quantiles without a hard scipy dependency.
+"""Student-t quantiles from the standard library alone.
 
-The repo needs exactly one function from scipy: ``stats.t.ppf`` for
-confidence-interval half-widths.  scipy ships as an optional extra
-(``pip install .[fast]``), so :func:`t_ppf` delegates to it when
-present and otherwise computes the quantile from the standard library
-alone:
+Confidence-interval half-widths need one special function, the
+Student-t quantile.  :func:`t_ppf` computes it from:
 
 * the closed forms for 1 and 2 degrees of freedom,
 * for integer ``df >= 3``, a Cornish–Fisher-style expansion around the
@@ -22,11 +19,6 @@ which is accurate to ~1e-6 for ``df >= 3``.
 import math
 from statistics import NormalDist
 
-try:  # scipy is an optional extra (``pip install .[fast]``)
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - exercised by the no-scipy CI leg
-    _scipy_stats = None
-
 _NORMAL = NormalDist()
 
 
@@ -36,12 +28,6 @@ def t_ppf(q, df):
         raise ValueError("q must be in (0, 1), got {!r}".format(q))
     if df < 1:
         raise ValueError("df must be >= 1, got {!r}".format(df))
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(q, df))
-    return _t_ppf_stdlib(q, df)
-
-
-def _t_ppf_stdlib(q, df):
     if q == 0.5:
         return 0.0
     if df == 1:  # Cauchy

@@ -117,8 +117,7 @@ class TestEngineCapabilities:
     def test_factories_declare_capability_attributes(self):
         from repro.policies import registry
 
-        for name in ("probabilistic", "vectorized", "explicit",
-                     "hierarchical"):
+        for name in ("probabilistic", "explicit", "hierarchical"):
             engine = registry.resolve("conflict", name)
             assert isinstance(engine.needs_granules, bool)
             assert isinstance(engine.table_backed, bool)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, ProfiledEnvironment
+from repro.des import ProfiledEnvironment
 from repro.des.events import URGENT, Event
 
 
@@ -78,15 +78,6 @@ class TestScheduleValidation:
             env.schedule(event, delay=-1.0)
 
     def test_timeout_rejects_negative_delay(self, env):
-        with pytest.raises(ValueError, match="negative delay"):
-            env.timeout(-1.0)
-
-    def test_recycled_timeout_rejects_negative_delay(self):
-        """The pooled timeout() fast path validates delay too."""
-        env = Environment(pool=True)
-        env.timeout(1.0)
-        env.run()
-        assert env.pool_stats()["timeout_free"] == 1
         with pytest.raises(ValueError, match="negative delay"):
             env.timeout(-1.0)
 

@@ -101,6 +101,28 @@ class TestRun:
         assert fired == [5]
 
 
+class TestNegativeDelays:
+    def test_negative_delays_rejected(self, env):
+        with pytest.raises(ValueError, match="negative delay"):
+            env.timeout(-1.0)
+        with pytest.raises(ValueError, match="negative delay"):
+            env.schedule_callback(lambda: None, -0.5)
+        with pytest.raises(ValueError, match="negative delay"):
+            env.schedule(env.event(), delay=-2.0)
+
+    @pytest.mark.parametrize("delays", [(-1.0,), (1.0, -1.0)])
+    def test_negative_tick_rejected(self, env, delays):
+        # The first bare yield is scheduled by the process itself; later
+        # ones by the run loop's inlined tick path.  Both must refuse.
+        def sleeper():
+            for delay in delays:
+                yield delay
+
+        env.process(sleeper())
+        with pytest.raises(ValueError, match="negative delay"):
+            env.run()
+
+
 class TestKernelStats:
     def test_dispatch_counter_counts_processed_events(self, env):
         for _ in range(5):

@@ -124,6 +124,62 @@ class TestPreemption:
         env.run(until=victim_done)
         assert env.now <= 4  # victim must not wait behind the intruder
 
+    def test_preempt_resume_accounting(self, env):
+        server = Server(env)
+        finished = []
+
+        def low(env):
+            yield server.submit(5.0, priority=5, tag="low")
+            finished.append(("low", env.now))
+
+        def high(env):
+            yield env.timeout(2.0)
+            yield server.submit(1.0, priority=0, tag="high")
+            finished.append(("high", env.now))
+
+        env.process(low(env))
+        env.process(high(env))
+        env.run()
+        assert finished == [("high", 3.0), ("low", 6.0)]
+        assert server.busy_time("low") == pytest.approx(5.0)
+        assert server.busy_time("high") == pytest.approx(1.0)
+
+
+class TestFailAll:
+    def test_fail_all_mid_service_no_double_release(self, env):
+        """A crash mid-service: the failed done-events deliver exactly
+        one failure each, the stale completion callback is ignored, and
+        the server keeps serving afterwards."""
+        server = Server(env)
+        outcomes = []
+
+        def worker(env, demand, tag):
+            try:
+                yield server.submit(demand, tag=tag)
+                outcomes.append((tag, "done", env.now))
+            except RuntimeError:
+                outcomes.append((tag, "failed", env.now))
+
+        env.process(worker(env, 4.0, "a"))
+        env.process(worker(env, 4.0, "b"))
+        env.schedule_callback(lambda: server.fail_all(RuntimeError("crash")), 1.0)
+        env.run(until=1.0)
+        env.run()
+        assert sorted(outcomes) == [
+            ("a", "failed", 1.0),
+            ("b", "failed", 1.0),
+        ]
+        assert not server.busy
+        # Job a's original completion callback (scheduled for t=4.0)
+        # is still on the heap; draining it advanced the clock there,
+        # and the token guard ignored it, so served counts stay zero.
+        assert env.now == 4.0
+        assert server.jobs_served() == 0
+        env.process(worker(env, 2.0, "c"))
+        env.run()
+        assert ("c", "done", 6.0) in outcomes
+        assert server.jobs_served("c") == 1
+
 
 class TestAccounting:
     def test_busy_time_split_by_tag(self, env):

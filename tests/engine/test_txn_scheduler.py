@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.parameters import SimulationParameters
 from repro.core.transaction import Transaction
-from repro.engine.txn_scheduler import (
+from repro.policies.admission import (
     AdaptiveAdmission,
     FCFSAdmission,
     SmallestFirstAdmission,

@@ -29,22 +29,18 @@ MODULES = [
     "repro.core.txnclass",
     "repro.core.workload",
     "repro.des",
-    "repro.des.calendar",
     "repro.des.engine",
     "repro.des.errors",
     "repro.des.events",
     "repro.des.monitor",
     "repro.des.process",
-    "repro.des.resource",
     "repro.des.rng",
     "repro.des.server",
-    "repro.des.store",
     "repro.des.trace",
     "repro.engine",
     "repro.engine.cluster",
     "repro.engine.machine",
     "repro.engine.processor",
-    "repro.engine.txn_scheduler",
     "repro.experiments",
     "repro.experiments.accelerator",
     "repro.experiments.cache",
