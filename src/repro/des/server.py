@@ -12,13 +12,18 @@ useful (transaction) work.  :class:`Server` provides exactly that:
 * waiting jobs are ordered FCFS within a priority level (or
   shortest-remaining-first with the ``"sjf"`` discipline);
 * busy time is accumulated per caller-supplied *tag*, so the model can
-  separate ``"lock"`` from ``"txn"`` work on each device.
+  separate ``"lock"`` from ``"txn"`` work on each device;
+* :meth:`Server.hold` lets work queued elsewhere take the whole server
+  (preempting its own job, queueing new submissions) until
+  :meth:`Server.release`.  A server attached to such a *lane* reports
+  the lane's busy time and queue as its own.
 """
 
 import heapq
 from collections import defaultdict
 from itertools import count
 
+from repro.des.errors import SimulationError
 from repro.des.events import Event
 
 #: Tolerance when deciding that a preempted job had actually finished.
@@ -87,10 +92,12 @@ class Server:
         self._served = defaultdict(int)
         self._demand_total = defaultdict(float)
         self._scale = 1.0
+        self._held = False
+        self._lane = None
 
     def __repr__(self):
         return "<Server {!r} queue={} busy={}>".format(
-            self.name, len(self._heap), self._current is not None
+            self.name, self.queue_length, self.busy
         )
 
     # -- public API ------------------------------------------------------
@@ -116,52 +123,139 @@ class Server:
         done = Event(self.env)
         job = _Job(demand, priority, tag, next(self._seq), done, self.env.now)
         self._demand_total[tag] += demand
-        if self._current is None:
-            self._start(job)
-        elif job.priority < self._current.priority:
-            self._preempt()
-            self._start(job)
-        else:
+        current = self._current
+        if current is not None:
+            if job.priority < current.priority:
+                self._preempt()
+                self._start(job)
+            else:
+                heapq.heappush(self._heap, (self._key(job), job))
+        elif self._held:
             heapq.heappush(self._heap, (self._key(job), job))
+        else:
+            self._start(job)
         return done
 
     @property
     def busy(self):
-        """True while a job is in service."""
-        return self._current is not None
+        """True while a job is in service or the server is held."""
+        return self._current is not None or self._held
 
     @property
     def queue_length(self):
-        """Number of jobs waiting (not counting the one in service)."""
+        """Number of jobs waiting (not counting the one in service).
+
+        Jobs waiting in an attached lane count too: they are waiting
+        for this server as much as for every other member of the lane.
+        """
+        if self._lane is not None:
+            return len(self._heap) + len(self._lane.queue)
         return len(self._heap)
 
     def busy_time(self, tag=None):
         """Accumulated busy time, for one *tag* or in total.
 
         Includes the partially-delivered service of the job currently
-        on the server, so snapshots taken mid-run are exact.
+        on the server, so snapshots taken mid-run are exact.  An
+        attached lane's busy time counts under the lane's tag.
         """
+        lane = self._lane
         if tag is None:
             total = sum(self._busy.values())
-            if self._current is not None:
-                total += self.env.now - self._segment_start
-            return total
-        total = self._busy.get(tag, 0.0)
-        if self._current is not None and self._current.tag == tag:
+            if lane is not None:
+                total += lane.busy
+        else:
+            total = self._busy.get(tag, 0.0)
+            if lane is not None and lane.tag == tag:
+                total += lane.busy
+        if self._held:
+            if lane is not None and (tag is None or lane.tag == tag):
+                total += self.env.now - lane.start
+        elif self._current is not None and (
+            tag is None or self._current.tag == tag
+        ):
             total += self.env.now - self._segment_start
         return total
 
     def jobs_served(self, tag=None):
         """Number of completed jobs, for one *tag* or in total."""
+        lane = self._lane
         if tag is None:
-            return sum(self._served.values())
-        return self._served.get(tag, 0)
+            total = sum(self._served.values())
+        else:
+            total = self._served.get(tag, 0)
+        if lane is not None and (tag is None or lane.tag == tag):
+            total += lane.served
+        return total
 
     def demand_submitted(self, tag=None):
         """Total service demand submitted, for one *tag* or in total."""
+        lane = self._lane
         if tag is None:
-            return sum(self._demand_total.values())
-        return self._demand_total.get(tag, 0.0)
+            total = sum(self._demand_total.values())
+        else:
+            total = self._demand_total.get(tag, 0.0)
+        if lane is not None and (tag is None or lane.tag == tag):
+            total += lane.demand
+        return total
+
+    # -- lanes -----------------------------------------------------------
+
+    def hold(self):
+        """Give the whole server to work served elsewhere (a lane).
+
+        The job in service is preempted exactly as a higher-priority
+        arrival would preempt it, and later resumes with its remaining
+        demand; jobs submitted while held wait in the queue.  A job
+        whose remaining demand is used up at this very instant
+        finishes instead of re-queueing.
+        """
+        if self._held:
+            raise SimulationError("server {!r} is already held".format(self.name))
+        self._held = True
+        if self._current is not None:
+            self._preempt()
+
+    def release(self):
+        """End a :meth:`hold`: resume serving the queued jobs."""
+        if not self._held:
+            raise SimulationError("server {!r} is not held".format(self.name))
+        self._held = False
+        self._dispatch_next()
+
+    def attach(self, lane):
+        """Report *lane*'s accounting as part of this server's own.
+
+        *lane* needs ``tag``, ``busy`` (busy time credited so far, one
+        job at a time), ``start`` (start of the job in service, read
+        while this server is held), ``served``, ``demand`` and
+        ``queue`` (the jobs waiting in the lane).
+        """
+        if self._lane is not None:
+            raise SimulationError("server {!r} already has a lane".format(self.name))
+        self._lane = lane
+
+    def detach(self):
+        """Fold the idle attached lane's totals into this server's own.
+
+        Busy time, job and demand counts continue from the lane's
+        values, so later jobs on this server accumulate exactly as if
+        they had all been served here.
+        """
+        lane = self._lane
+        if lane is None:
+            return
+        if self._held or lane.queue:
+            raise SimulationError(
+                "cannot detach server {!r} from a busy lane".format(self.name)
+            )
+        if lane.busy > 0:
+            self._busy[lane.tag] = self._busy.get(lane.tag, 0.0) + lane.busy
+        if lane.served:
+            self._served[lane.tag] = self._served.get(lane.tag, 0) + lane.served
+        if lane.demand:
+            self._demand_total[lane.tag] += lane.demand
+        self._lane = None
 
     @property
     def scale(self):
@@ -173,7 +267,15 @@ class Server:
 
         Only jobs submitted while the factor is in force are inflated;
         jobs already queued or in service keep their original demand.
+        A server attached to a lane refuses: the lane's work would not
+        be inflated, so this server would silently diverge from it.
         """
+        if self._lane is not None:
+            raise SimulationError(
+                "server {!r} shares a lane; detach it before scaling".format(
+                    self.name
+                )
+            )
         if factor <= 0:
             raise ValueError("scale factor must be > 0, got {}".format(factor))
         self._scale = float(factor)
@@ -185,8 +287,15 @@ class Server:
         processes receive it at their yield point.  Busy time already
         delivered to the in-service job stays credited (the device was
         genuinely busy until the instant of the crash).  Returns the
-        number of jobs killed.
+        number of jobs killed.  A server attached to a lane refuses,
+        since the lane would go on serving the dead server's share.
         """
+        if self._lane is not None:
+            raise SimulationError(
+                "server {!r} shares a lane; detach it before failing it".format(
+                    self.name
+                )
+            )
         killed = 0
         if self._current is not None:
             job = self._current

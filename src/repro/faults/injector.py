@@ -51,7 +51,14 @@ class FaultInjector:
         self.jobs_killed = 0
 
     def install(self):
-        """Start one process per (spec, target) pair."""
+        """Start one process per (spec, target) pair.
+
+        Crashes and disk slowdowns make the nodes differ, so a plan
+        with either serves lock work node by node from the start
+        (:meth:`~repro.engine.machine.Machine.split_lock_work`).
+        """
+        if self.plan.crashes or self.plan.disk_slowdowns:
+            self.machine.split_lock_work()
         for si, spec in enumerate(self.plan.crashes):
             for node in self._targets(spec):
                 rng = self._streams.stream("fault_crash[{}]@{}".format(si, node))
@@ -98,13 +105,12 @@ class FaultInjector:
             self._emit("proc_recover", node=node)
 
     def _slowdown_loop(self, spec, node, rng):
-        disk = self.machine[node].disk
         while True:
             yield rng.expovariate(1.0 / spec.mtbf)
-            disk.set_scale(spec.factor)
+            self.machine.set_disk_scale(node, spec.factor)
             self._emit("disk_slow", node=node, factor=spec.factor)
             yield rng.expovariate(1.0 / spec.duration)
-            disk.set_scale(1.0)
+            self.machine.set_disk_scale(node, 1.0)
             self._emit("disk_recover", node=node)
 
     def _stall_loop(self, spec, rng):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, Server
+from repro.des import Environment, Server, SimulationError
 
 
 def run_until(env, event):
@@ -256,6 +256,85 @@ class TestSJF:
             )
         env.run()
         assert finish["urgent-long"] < finish["normal-short"]
+
+
+class TestHold:
+    def test_held_job_resumes_with_exact_remaining_demand(self, env):
+        server = Server(env)
+        done = server.submit(5.0, priority=1, tag="txn")
+        env.schedule_callback(server.hold, 1.5)
+        env.schedule_callback(server.release, 4.0)
+        env.run(until=done)
+        # 1.5 served, held for 2.5, the remaining 3.5 from 4.0 on.
+        assert env.now == 7.5
+        assert server.busy_time("txn") == 5.0
+        assert server.jobs_served("txn") == 1
+
+    def test_submits_during_a_hold_queue_up(self, env):
+        server = Server(env)
+        server.hold()
+        assert server.busy
+        finish = []
+        for name, demand in (("a", 2.0), ("b", 1.0)):
+            done = server.submit(demand, priority=1)
+            done.callbacks.append(lambda _e, n=name: finish.append((n, env.now)))
+        # Even a more urgent job waits: the lane owns the server.
+        urgent = server.submit(0.5, priority=0)
+        urgent.callbacks.append(lambda _e: finish.append(("urgent", env.now)))
+        assert server.queue_length == 3
+        env.run(until=3.0)
+        assert finish == []
+        assert server.busy_time() == 0.0
+        server.release()
+        env.run()
+        assert finish == [("urgent", 3.5), ("a", 5.5), ("b", 6.5)]
+
+    def test_job_ending_at_the_hold_instant_finishes(self, env):
+        server = Server(env)
+        # The hold is scheduled before the job, so at t=2 it runs first
+        # and finds a job with no demand left.
+        env.schedule_callback(server.hold, 2.0)
+        done = server.submit(2.0, priority=1, tag="txn")
+        env.run(until=2.0)
+        assert done.triggered and done.ok
+        assert server.queue_length == 0
+        assert server.jobs_served("txn") == 1
+        assert server.busy_time("txn") == 2.0
+        server.release()
+        assert not server.busy
+
+    def test_per_tag_busy_time_is_exact_across_holds(self):
+        # A hold is a preemption by work served elsewhere: the tags'
+        # busy times match, to the bit, a twin server preempted by
+        # urgent jobs over the same windows.
+        windows = ((0.05, 0.15), (0.2, 0.35), (0.4, 0.45))
+        held_env, twin_env = Environment(), Environment()
+        held, twin = Server(held_env), Server(twin_env)
+        for server in (held, twin):
+            server.submit(0.1, priority=1, tag="a")
+            server.submit(0.2, priority=1, tag="b")
+        for start, end in windows:
+            held_env.schedule_callback(held.hold, start)
+            held_env.schedule_callback(held.release, end)
+            twin_env.schedule_callback(
+                lambda d=end - start: twin.submit(d, priority=0, tag="x"), start
+            )
+        held_env.run()
+        twin_env.run()
+        assert held_env.now == twin_env.now
+        for tag in ("a", "b"):
+            assert held.busy_time(tag) == twin.busy_time(tag)
+            assert held.jobs_served(tag) == twin.jobs_served(tag) == 1
+        assert held.busy_time("a") == pytest.approx(0.1)
+        assert held.busy_time("b") == pytest.approx(0.2)
+
+    def test_double_hold_and_stray_release_raise(self, env):
+        server = Server(env)
+        with pytest.raises(SimulationError):
+            server.release()
+        server.hold()
+        with pytest.raises(SimulationError):
+            server.hold()
 
 
 class TestStress:

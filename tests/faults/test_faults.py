@@ -225,6 +225,39 @@ class TestInjectorAccounting:
         assert result.failure_aborts == 0
 
 
+class TestLockLanesUnderFaults:
+    @pytest.mark.parametrize(
+        "plan, lanes",
+        [
+            (CRASHY, False),
+            (FaultPlan(disk_slowdowns=(SlowdownSpec(mtbf=20.0, duration=10.0),)), False),
+            (FaultPlan(lock_stalls=(StallSpec(mtbf=20.0, duration=10.0),)), True),
+        ],
+        ids=["crash", "disk-slowdown", "lock-stall"],
+    )
+    def test_node_faults_take_the_per_node_path(self, fast_params, plan, lanes):
+        # Crashes and slow disks make the nodes differ; a lock stall
+        # slows every node alike and stays on the lanes.
+        model = LockingGranularityModel(fast_params, fault_plan=plan)
+        model.run()
+        assert model.machine.lock_lanes is lanes
+
+    def test_slowdown_scales_through_the_machine(self, env):
+        # The slowdown process goes through Machine.set_disk_scale, so
+        # even without install() it splits the lanes before scaling.
+        from repro.engine.machine import Machine
+
+        machine = Machine(env, 2)
+        spec = SlowdownSpec(mtbf=1.0, duration=1e9, factor=3.0)
+        plan = FaultPlan(disk_slowdowns=(spec,), seed=5)
+        injector = FaultInjector(env, machine, plan, seed=1)
+        env.process(injector._slowdown_loop(spec, 1, injector._streams.stream("s")))
+        env.run(until=100.0)
+        assert not machine.lock_lanes
+        assert machine[1].disk.scale == 3.0
+        assert machine[0].disk.scale == 1.0
+
+
 class TestPartitionFaultTimes:
     """Distributed fault sources obey the same determinism contract."""
 
