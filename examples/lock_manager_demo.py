@@ -12,14 +12,7 @@ Usage::
     python examples/lock_manager_demo.py
 """
 
-from repro.lockmgr import (
-    DeadlockDetector,
-    GranuleTree,
-    HierarchicalLockManager,
-    LockManager,
-    LockMode,
-    RequestStatus,
-)
+from repro.lockmgr import DeadlockDetector, LockManager, LockMode, RequestStatus
 from repro.lockmgr.manager import exclusive_requests
 
 
@@ -60,34 +53,43 @@ def demo_deadlock():
     print()
 
 
+def intention_path(path, mode):
+    """Gray's protocol as one preclaim request: an intention lock (IS
+    for readers, IX for writers) on every ancestor, root first, then
+    *mode* on the node itself (the last element of *path*)."""
+    intent = LockMode.IX if mode is LockMode.X else LockMode.IS
+    return [(node, intent) for node in path[:-1]] + [(path[-1], mode)]
+
+
 def demo_hierarchy():
     print("3. Multi-granularity locking (database → files → blocks)")
-    tree = GranuleTree(root="database")
-    blocks = tree.add_levels([4, 25])  # 4 files x 25 blocks
-    hlm = HierarchicalLockManager(tree)
+    manager = LockManager()
+    block = ("database", "file-0", "file-0/block-0")
+    same_file = ("database", "file-0")
+    other_file = ("database", "file-1")
 
-    record_updater = "updater"
-    report_writer = "reporter"
-
-    target_block = blocks[0]
-    assert hlm.try_lock(record_updater, target_block, LockMode.X) is None
+    assert manager.try_acquire_all("updater", intention_path(block, LockMode.X)) is None
     print("   updater X-locked one block (IX on its file and the database)")
 
-    same_file = tree.parent(target_block)
-    blocked_by = hlm.try_lock(report_writer, same_file, LockMode.S)
+    blocked_by = manager.try_acquire_all(
+        "reporter", intention_path(same_file, LockMode.S)
+    )
     print("   reporter tried to S-lock that whole file: blocked by "
           "{!r} (IX vs S)".format(blocked_by))
 
-    other_file = tree.children("database")[1]
-    assert hlm.try_lock(report_writer, other_file, LockMode.S) is None
+    assert manager.try_acquire_all(
+        "reporter", intention_path(other_file, LockMode.S)
+    ) is None
     print("   reporter S-locked a different file instead — block- and "
           "file-level locks coexist")
 
-    queued = hlm.lock_queued(report_writer, same_file, LockMode.S)
-    hlm.unlock_all(record_updater)
-    assert hlm.is_fully_granted(queued)
-    print("   once the updater finished, the queued file lock was granted")
+    queued = [
+        manager.acquire("reporter", node, mode)
+        for node, mode in intention_path(same_file, LockMode.S)
+    ]
+    manager.release_all("updater")
     assert all(r.status is RequestStatus.GRANTED for r in queued)
+    print("   once the updater finished, the queued file lock was granted")
     print()
 
 

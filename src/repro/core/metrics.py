@@ -40,7 +40,7 @@ class _ClassStats:
 
 
 class MetricsCollector:
-    """Collects everything a run reports.
+    """Collects everything a run reports: the run's single probe.
 
     The paper's output parameters (``totcpus``, ``totios``,
     ``lockcpus``, ``lockios``, ``usefulcpus``, ``usefulios``,
@@ -53,12 +53,20 @@ class MetricsCollector:
     the warmup instant and discards completions and response samples
     observed before it.
 
-    *instruments* is an optional live-metrics bundle
-    (:class:`repro.obs.metrics.RunInstruments`).  Its updates happen
-    *before* the warmup gate: the live view reports what the run is
+    Every lifecycle site reports once, to one ``note_*`` method (or to
+    :meth:`emit` / :meth:`system_event` for records only the trace
+    keeps), and the collector fans the event out: it updates the
+    results, then appends the *trace* record when a sink is attached,
+    then updates the live-metrics *instruments*
+    (:class:`repro.obs.metrics.RunInstruments`) when a registry is
+    attached.  The lower layers each hold one hook, a bound method of
+    the collector: the lock manager :meth:`note_lock_event`, the fault
+    injector :meth:`note_fault`, the network :meth:`note_message` and
+    the admission policy :meth:`system_event`.  Instrument updates
+    ignore the warmup gate: the live view reports what the run is
     doing now, while the paper's reported outputs stay
-    warmup-filtered.  Every instrument call is guarded by one
-    ``is not None`` branch, so the un-instrumented path is unchanged.
+    warmup-filtered.  Each observer costs one ``is not None`` branch,
+    so a run without observers only collects its results.
     """
 
     def __init__(
@@ -67,6 +75,7 @@ class MetricsCollector:
         params,
         machine,
         conflicts=None,
+        trace=None,
         instruments=None,
         cluster=None,
         network=None,
@@ -75,6 +84,7 @@ class MetricsCollector:
         self.params = params
         self.machine = machine
         self.conflicts = conflicts
+        self.trace = trace
         self.instruments = instruments
         self.cluster = cluster
         self.network = network
@@ -145,106 +155,229 @@ class MetricsCollector:
         }
         self._measuring = True
 
-    # -- event hooks -----------------------------------------------------
+    # -- the probe: results, then trace, then live metrics ---------------
 
-    def note_request(self):
-        """A lock request was issued (first attempt or retry)."""
-        if self.instruments is not None:
-            self.instruments.lock_requests.inc()
+    def emit(self, kind, txn, **details):
+        """A lifecycle record for *txn* that only the trace keeps."""
+        if self.trace is not None:
+            self.trace.emit(self.env.now, kind, txn.tid, **details)
+
+    def system_event(self, kind, **details):
+        """A system record (subject 0) that only the trace keeps; also
+        the admission policy's ``notify`` hook (``mpl_change``)."""
+        if self.trace is not None:
+            self.trace.emit(self.env.now, kind, 0, **details)
+
+    def note_occupancy(self):
+        """The conflict engine's active set or lock count changed."""
+        self.active.update(self.conflicts.active_count)
+        self.locks_held.update(self.conflicts.locks_held)
+
+    def note_request(self, txn, locks):
+        """*txn* issued a lock request for *locks* locks (any attempt)."""
         if self._measuring:
             self.lock_requests += 1
-
-    def note_denial(self):
-        """A lock request was denied."""
+        if self.trace is not None:
+            self.trace.emit(
+                self.env.now, "lock_request", txn.tid,
+                attempt=txn.attempts, locks=locks,
+            )
         if self.instruments is not None:
-            self.instruments.lock_denials.inc()
+            self.instruments.lock_requests.inc()
+
+    def note_denial(self, txn, blocker):
+        """*txn*'s request was denied; *blocker* holds a conflicting lock."""
         if self._measuring:
             self.lock_denials += 1
-
-    def note_abort(self, cause="deadlock", txn=None):
-        """A transaction attempt was aborted on a conflict.
-
-        *cause* is the protocol's reason string (``"deadlock"``,
-        ``"wounded"``, ``"no-waiting"``); it feeds the live
-        aborts-by-cause counter only — the paper's ``deadlock_aborts``
-        output keeps counting every conflict abort as before.  *txn*
-        (when given and classed) additionally charges the abort to
-        the transaction's class breakdown.
-        """
-        cls = getattr(txn, "class_name", None)
+        if self.trace is not None:
+            self.trace.emit(
+                self.env.now, "lock_deny", txn.tid, blocker=blocker.tid
+            )
         if self.instruments is not None:
-            self.instruments.note_abort(cause)
-            if cls is not None:
-                self.instruments.note_class_abort(cls, cause)
+            self.instruments.lock_denials.inc()
+
+    def note_block(self, txn, blocker=None):
+        """*txn* starts waiting.
+
+        Preclaim names the *blocker* and traces ``block``; a request
+        queued in the lock table (no *blocker*) was already traced by
+        :meth:`note_lock_event`.
+        """
+        self.blocked.increment(1)
+        if blocker is not None and self.trace is not None:
+            self.trace.emit(self.env.now, "block", txn.tid, blocker=blocker.tid)
+
+    def note_wake(self, txn, since, granule=None):
+        """*txn*, waiting since *since* (on *granule*, if queued in the
+        lock table), was granted or aborted.
+
+        Only preclaim's wake-up is traced (``wake``); a queued request
+        ends in a promotion or cancellation :meth:`note_lock_event`
+        traces.  Preclaim's waits carry no granule label.
+        """
+        self.blocked.increment(-1)
+        if granule is None and self.trace is not None:
+            self.trace.emit(self.env.now, "wake", txn.tid)
+        if self.instruments is not None:
+            self.instruments.observe_lock_wait(
+                self.env.now - since, granule=granule,
+                txn_class=txn.class_name,
+            )
+
+    def note_abort(self, txn, reason, blocker=None):
+        """A conflict aborted *txn*'s attempt (``txn.aborts`` counts it).
+
+        Counts a denial and an abort.  *reason* (``"deadlock"``,
+        ``"wounded"``, ``"no-waiting"``) labels the live aborts-by-cause
+        counter only; the paper's ``deadlock_aborts`` counts every
+        conflict abort.  A *blocker* (no-waiting's denied request) is
+        traced as ``lock_deny`` ahead of the ``abort`` record.
+        """
+        cls = txn.class_name
         if self._measuring:
+            self.lock_denials += 1
             self.deadlock_aborts += 1
             if cls is not None and cls in self.class_stats:
                 self.class_stats[cls].aborts += 1
-
-    def note_failure_abort(self):
-        """A transaction was aborted by a processor crash."""
+        if self.trace is not None:
+            now = self.env.now
+            if blocker is not None:
+                self.trace.emit(now, "lock_deny", txn.tid, blocker=blocker.tid)
+            self.trace.emit(
+                now, "abort", txn.tid, aborts=txn.aborts, reason=reason
+            )
         if self.instruments is not None:
-            self.instruments.note_abort("fault")
+            self.instruments.lock_denials.inc()
+            self.instruments.note_abort(reason)
+            if cls is not None:
+                self.instruments.note_class_abort(cls, reason)
+
+    def note_fault_abort(self, txn, node):
+        """A crash aborted *txn* (``txn.fault_retries`` counts it) after
+        its locks were released; *node* is the crashed node when the
+        crash hit its lock work, else ``None``."""
+        self.note_occupancy()
         if self._measuring:
             self.failure_aborts += 1
+        if self.trace is not None:
+            self.trace.emit(
+                self.env.now, "retry", txn.tid,
+                node=node, retries=txn.fault_retries,
+            )
+        if self.instruments is not None:
+            self.instruments.note_abort("fault")
 
-    def note_commit_abort(self, reason):
-        """A distributed commit was presumed aborted (will retry)."""
+    def note_commit_abort(self, txn, reason):
+        """*txn*'s distributed commit was presumed aborted
+        (``txn.commit_retries`` counts it) after its locks were
+        released; it will retry."""
+        self.note_occupancy()
+        if self._measuring:
+            self.commit_aborts += 1
+        if self.trace is not None:
+            self.trace.emit(
+                self.env.now, "commit_abort", txn.tid,
+                reason=reason, retries=txn.commit_retries,
+            )
         if self.instruments is not None:
             self.instruments.note_commit_event("abort")
             self.instruments.note_abort(reason)
-        if self._measuring:
-            self.commit_aborts += 1
 
     def note_commit_latency(self, latency):
         """A distributed commit decision landed after *latency*."""
+        if self._measuring:
+            self.commit_latency.observe(latency)
         if self.instruments is not None:
             self.instruments.note_commit_event("commit")
             self.instruments.observe_commit_latency(latency)
-        if self._measuring:
-            self.commit_latency.observe(latency)
 
     def note_degraded_mode(self):
         """A writer hit the minority-partition read-only mode."""
         if self.instruments is not None:
             self.instruments.note_commit_event("degraded")
 
-    def note_election(self):
-        """A primary-copy failover election completed."""
+    def note_election(self, primary, was):
+        """A failover election replaced primary *was* by *primary*."""
+        self.system_event("election", primary=primary, was=was)
         if self.instruments is not None:
             self.instruments.note_commit_event("election")
 
     def note_completion(self, txn):
-        """A transaction finished and released its locks."""
+        """*txn* committed and released its locks."""
         cls = txn.class_name
+        response = self.env.now - txn.arrival
+        self.note_occupancy()
+        if self._measuring:
+            if cls is not None and cls in self.class_stats:
+                stats = self.class_stats[cls]
+                stats.completions += 1
+                stats.response.observe(response)
+                stats.attempts.observe(txn.attempts)
+            self.completions += 1
+            if self.machine.down_count or (
+                self.cluster is not None and self.cluster.partitioned
+            ):
+                # Committed while at least one node was down (or the
+                # cluster was partitioned): this is the degraded-mode
+                # share of the throughput.
+                self.degraded_completions += 1
+            self.response.observe(response)
+            self.response_samples.append(response)
+            self.attempts.observe(txn.attempts)
+        if self.trace is not None:
+            self.trace.emit(self.env.now, "complete", txn.tid, response=response)
         if self.instruments is not None:
             self.instruments.commits.inc()
             if txn.attempts > 1:
                 self.instruments.restarts.inc(txn.attempts - 1)
-            self.instruments.response.observe(self.env.now - txn.arrival)
+            self.instruments.response.observe(response)
             if cls is not None:
                 self.instruments.note_class_completion(
-                    cls, txn.attempts - 1, self.env.now - txn.arrival
+                    cls, txn.attempts - 1, response
                 )
-        if not self._measuring:
-            return
-        if cls is not None and cls in self.class_stats:
-            stats = self.class_stats[cls]
-            stats.completions += 1
-            stats.response.observe(self.env.now - txn.arrival)
-            stats.attempts.observe(txn.attempts)
-        self.completions += 1
-        if self.machine.down_count or (
-            self.cluster is not None and self.cluster.partitioned
-        ):
-            # Committed while at least one node was down (or the
-            # cluster was partitioned): this is the degraded-mode
-            # share of the throughput.
-            self.degraded_completions += 1
-        response = self.env.now - txn.arrival
-        self.response.observe(response)
-        self.response_samples.append(response)
-        self.attempts.observe(txn.attempts)
+
+    # -- the lower layers' hooks -------------------------------------------
+
+    def note_lock_event(self, event, owner, granule, mode, holders=None):
+        """The lock manager's hook: one table transition.
+
+        All five events (``grant``, ``deny``, ``queue``, ``promote``,
+        ``cancel``) count by mode in the live metrics; only contention
+        is traced: ``queue`` as ``block`` (with the number of
+        *holders*), ``promote`` as ``lock_promote``, ``cancel`` as
+        ``lock_cancel``.
+        """
+        trace = self.trace
+        if trace is not None and event != "grant" and event != "deny":
+            subject = getattr(owner, "tid", owner)
+            if event == "queue":
+                trace.emit(
+                    self.env.now, "block", subject,
+                    granule=granule, mode=mode.name, holders=holders,
+                )
+            elif event == "promote":
+                trace.emit(
+                    self.env.now, "lock_promote", subject,
+                    granule=granule, mode=mode.name,
+                )
+            else:
+                trace.emit(self.env.now, "lock_cancel", subject, granule=granule)
+        if self.instruments is not None:
+            self.instruments.note_lock_event(event, mode.name)
+
+    def note_fault(self, kind, **details):
+        """The fault injector's hook: one fault transition (subject 0)."""
+        self.system_event(kind, **details)
+        if self.instruments is not None:
+            self.instruments.note_fault(kind)
+
+    def note_message(self, kind, delivered):
+        """The network's hook: one message sent, dropped unless
+        *delivered*; messages reach the live metrics only."""
+        if self.instruments is not None:
+            self.instruments.note_message(kind)
+            if not delivered:
+                self.instruments.note_message_dropped(kind)
 
     # -- finalisation ------------------------------------------------------
 

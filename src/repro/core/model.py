@@ -8,8 +8,10 @@ phase (cc), workload, placement, partitioning, conflict resolution —
 is delegated to a named policy resolved through :mod:`repro.policies`
 (see DESIGN.md §8 for the layer map).  The model owns only what every
 policy composition shares: the kernel, the machine, the random
-streams, the metrics, the trace plumbing and the fork/join execution
-of granted transactions.
+streams, the run's probe (:class:`~repro.core.metrics.MetricsCollector`,
+which every lifecycle site reports to and which feeds the optional
+trace and live metrics) and the fork/join execution of granted
+transactions.
 """
 
 from itertools import count
@@ -91,16 +93,6 @@ class LockingGranularityModel:
         params.validate()
         self.params = params
         self.telemetry = telemetry
-        sinks = [trace]
-        if telemetry is not None and telemetry.sink is not None:
-            sinks.append(telemetry.sink)
-        sinks = [sink for sink in sinks if sink is not None]
-        if len(sinks) > 1:
-            from repro.obs.sinks import MultiSink
-
-            self.trace = MultiSink(sinks)
-        else:
-            self.trace = sinks[0] if sinks else None
         self.env = Environment()
         streams = RandomStreams(params.seed)
         self.rngs = {name: streams.stream(name) for name in _STREAMS}
@@ -124,13 +116,6 @@ class LockingGranularityModel:
         else:
             self.network = None
             self.cluster = None
-        if fault_plan is not None and fault_plan.enabled():
-            self._injector = FaultInjector(
-                self.env, self.machine, fault_plan, params.seed, trace=self.trace
-            )
-            self._injector.network = self.network
-        else:
-            self._injector = None
         self.placement = make_placement(params)
         self.partitioning = make_partitioning(params)
         self.sizes = (
@@ -162,28 +147,49 @@ class LockingGranularityModel:
         )
         self.conflicts = make_conflict_engine(params, streams.stream("conflict"))
         policy = make_admission_policy(params)
+        # Optional observers, wired in one place.  The collector is the
+        # run's probe: it keeps the results and feeds the trace sinks
+        # and the live metrics; each lower layer holds one hook, a
+        # bound method of the probe, set only when someone listens.
+        sinks = [trace, telemetry.sink if telemetry is not None else None]
+        sinks = [sink for sink in sinks if sink is not None]
+        if len(sinks) > 1:
+            from repro.obs.sinks import MultiSink
+
+            sink = MultiSink(sinks)
+        else:
+            sink = sinks[0] if sinks else None
+        instruments = None
+        manager = getattr(self.conflicts, "manager", None)
         if metrics_registry is not None:
             # Imported directly (not via repro.obs, whose __init__
             # pulls the SVG/report stack) and only when instrumented.
             from repro.obs.metrics import RunInstruments
 
-            self.instruments = RunInstruments(metrics_registry, params)
-            self.instruments.attach_kernel(self.env)
-            manager = getattr(self.conflicts, "manager", None)
+            instruments = RunInstruments(metrics_registry, params)
+            instruments.attach_kernel(self.env)
             if manager is not None:
-                manager.metrics = self.instruments
-                self.instruments.attach_lock_table(manager)
-            if self._injector is not None:
-                self._injector.metrics = self.instruments
-            if self.network is not None:
-                self.network.instruments = self.instruments
-        else:
-            self.instruments = None
-        self.metrics = MetricsCollector(
+                instruments.attach_lock_table(manager)
+        self.metrics = probe = MetricsCollector(
             self.env, params, self.machine, self.conflicts,
-            instruments=self.instruments,
+            trace=sink, instruments=instruments,
             cluster=self.cluster, network=self.network,
         )
+        observed = sink is not None or instruments is not None
+        if manager is not None and observed:
+            manager.observer = probe.note_lock_event
+        if sink is not None:
+            policy.notify = probe.system_event
+        if self.network is not None and instruments is not None:
+            self.network.observer = probe.note_message
+        if fault_plan is not None and fault_plan.enabled():
+            self._injector = FaultInjector(
+                self.env, self.machine, fault_plan, params.seed,
+                observer=probe.note_fault if observed else None,
+            )
+            self._injector.network = self.network
+        else:
+            self._injector = None
         self.admission = AdmissionGate(policy, self.env, self.metrics)
         self.cc = resolve("cc", params.protocol)().bind(self)
         self.commit = resolve("commit", params.commit_protocol)().bind(self)
@@ -191,13 +197,6 @@ class LockingGranularityModel:
         self._tid = count(1)
         #: blocker tid -> events to succeed when that blocker completes.
         self.blocked_wakes = {}
-        if self.trace is not None:
-            # The layers below are clock-less; these hooks stamp the
-            # current time onto their contention/scheduling events.
-            manager = getattr(self.conflicts, "manager", None)
-            if manager is not None:
-                manager.observer = self._lock_observer
-            policy.notify = self._policy_observer
         self._finished = False
 
     # -- public API ------------------------------------------------------
@@ -257,43 +256,16 @@ class LockingGranularityModel:
             txn_class=cls,
         )
 
-    # -- trace plumbing ----------------------------------------------------
-
-    def emit(self, kind, txn, **details):
-        """Record a lifecycle event for *txn* (no-op without a sink)."""
-        if self.trace is not None:
-            self.trace.emit(self.env.now, kind, txn.tid, **details)
-
-    def emit_system(self, kind, **details):
-        """Record a cluster/system event (subject 0, like the injector's)."""
-        if self.trace is not None:
-            self.trace.emit(self.env.now, kind, 0, **details)
-
-    def _lock_observer(self, kind, owner, **details):
-        """Lock-manager contention events, stamped with the clock.
-
-        ``lock_queue`` is reported as the lifecycle kind ``block``
-        (the table-backed counterpart of preclaim's post-denial block).
-        """
-        if kind == "lock_queue":
-            kind = "block"
-        self.trace.emit(
-            self.env.now, kind, getattr(owner, "tid", owner), **details
-        )
-
-    def _policy_observer(self, kind, **details):
-        """Admission-policy transitions (system events, subject 0)."""
-        self.trace.emit(self.env.now, kind, 0, **details)
-
     # -- lifecycle ---------------------------------------------------------
 
     def lifecycle(self, txn):
         """The full life of one transaction (an arrival policy spawns
         one of these per arriving transaction)."""
+        probe = self.metrics
         txn.arrival = self.env.now
-        self.emit("arrive", txn, nu=txn.nu, locks=txn.lock_count)
+        probe.emit("arrive", txn, nu=txn.nu, locks=txn.lock_count)
         yield from self.admission.admit(txn)
-        self.emit("admit", txn)
+        probe.emit("admit", txn)
         while True:
             try:
                 yield from self.cc.acquire(txn)
@@ -302,8 +274,7 @@ class LockingGranularityModel:
                 # lock-management work.
                 yield from self.cc.fault_abort(txn, down.index)
                 continue
-            self.metrics.active.update(self.conflicts.active_count)
-            self.metrics.locks_held.update(self.conflicts.locks_held)
+            probe.note_occupancy()
             if (yield from self._execute(txn)):
                 if (yield from self.cc.post_execute(txn)):
                     if (yield from self.commit.commit(txn)):
@@ -335,14 +306,15 @@ class LockingGranularityModel:
         process event, so the join always succeeds and surviving
         siblings run to completion before the parent aborts.
         """
+        emit = self.metrics.emit
         processors = self.partitioning.processors(self.rngs["partitioning"])
-        self.emit("exec", txn, pu=len(processors))
+        emit("exec", txn, pu=len(processors))
         shares = split_entities(txn.nu, len(processors))
         subtxns = []
         for sub, (proc_index, entities) in enumerate(zip(processors, shares)):
             if entities <= 0:
                 continue
-            self.emit("fork", txn, sub=sub, node=proc_index, entities=entities)
+            emit("fork", txn, sub=sub, node=proc_index, entities=entities)
             subtxns.append(
                 self.env.process(
                     self._subtransaction(txn, sub, proc_index, entities)
@@ -350,32 +322,30 @@ class LockingGranularityModel:
             )
         if subtxns:
             yield self.env.all_of(subtxns)
-        self.emit("join", txn, subs=len(subtxns))
+        emit("join", txn, subs=len(subtxns))
         return all(sub.value for sub in subtxns)
 
     def _subtransaction(self, txn, sub, proc_index, entities):
         params = self.params
         node = self.machine[proc_index]
+        emit = self.metrics.emit
         try:
-            self.emit("io_start", txn, sub=sub, node=proc_index)
+            emit("io_start", txn, sub=sub, node=proc_index)
             yield node.io(entities * params.iotime)
-            self.emit("io_end", txn, sub=sub, node=proc_index)
-            self.emit("cpu_start", txn, sub=sub, node=proc_index)
+            emit("io_end", txn, sub=sub, node=proc_index)
+            emit("cpu_start", txn, sub=sub, node=proc_index)
             yield node.compute(entities * params.cputime)
-            self.emit("cpu_end", txn, sub=sub, node=proc_index)
+            emit("cpu_end", txn, sub=sub, node=proc_index)
         except ProcessorDown as down:
-            self.emit("sub_fail", txn, sub=sub, node=down.index)
+            emit("sub_fail", txn, sub=sub, node=down.index)
             return False
         return True
 
     # -- completion ----------------------------------------------------------
 
     def _complete(self, txn):
-        self.emit("commit", txn, attempts=txn.attempts)
+        self.metrics.emit("commit", txn, attempts=txn.attempts)
         self.conflicts.release(txn)
-        self.emit("complete", txn, response=self.env.now - txn.arrival)
-        self.metrics.active.update(self.conflicts.active_count)
-        self.metrics.locks_held.update(self.conflicts.locks_held)
         self.metrics.note_completion(txn)
         self.wake_waiters(txn)
         self.admission.on_complete()

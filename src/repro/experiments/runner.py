@@ -75,15 +75,11 @@ class SweepStalled(RuntimeError):
     """A sweep cell kept exceeding its watchdog after every retry."""
 
 
-def _run_single(params):
-    """Module-level worker so process pools can pickle it."""
-    return LockingGranularityModel(params).run()
-
-
 def _run_single_timed(
     params, timeout=None, collect=False, fault_plan=None, backoff=None
 ):
-    """Worker returning ``(result, compute_seconds)`` for stats.
+    """Module-level worker (process pools pickle it) returning
+    ``(result, compute_seconds, metrics_snapshot)``.
 
     *timeout* is the per-replication wall-clock watchdog, enforced
     inside the simulation kernel (see
@@ -91,32 +87,25 @@ def _run_single_timed(
 
     With ``collect=True`` (a metrics-enabled sweep) the cell runs
     against a fresh in-worker
-    :class:`~repro.obs.metrics.MetricsRegistry` and the return value
-    grows to ``(result, compute_seconds, metrics_snapshot)``; the
-    parent merges the snapshot into its live registry.  The two-tuple
-    shape is preserved for plain sweeps so existing callers (and test
-    doubles) are unaffected.
-
-    *fault_plan* / *backoff* (picklable) ride along to the model for
-    faulted or backoff-ablation sweeps; both default to ``None`` and
-    plain sweeps keep the historical two-argument call shape.
+    :class:`~repro.obs.metrics.MetricsRegistry` whose snapshot the
+    parent merges into its live registry; otherwise the snapshot is
+    ``None``.  *fault_plan* / *backoff* (picklable) ride along to the
+    model for faulted or backoff-ablation sweeps.
     """
     started = perf_counter()
-    if not collect:
-        result = LockingGranularityModel(
-            params, fault_plan=fault_plan, backoff=backoff
-        ).run(timeout=timeout)
-        return result, perf_counter() - started
-    from repro.obs.metrics import MetricsRegistry
+    registry = None
+    if collect:
+        from repro.obs.metrics import MetricsRegistry
 
-    registry = MetricsRegistry()
+        registry = MetricsRegistry()
     result = LockingGranularityModel(
         params,
         metrics_registry=registry,
         fault_plan=fault_plan,
         backoff=backoff,
     ).run(timeout=timeout)
-    return result, perf_counter() - started, registry.snapshot()
+    snapshot = registry.snapshot() if registry is not None else None
+    return result, perf_counter() - started, snapshot
 
 
 def _retry_backoff(round_index):
@@ -981,16 +970,15 @@ def _run_inline(
     collect=False, fault_plan=None, backoff=None,
 ):
     """Execute the job *queue* in this process, one job at a time."""
-    extra = ()
-    if collect or fault_plan is not None or backoff is not None:
-        extra = (collect, fault_plan, backoff)
     for job in queue:
         if drain is not None and drain.tripped:
             raise KeyboardInterrupt
         attempt = 0
         while True:
             try:
-                payload = _run_single_timed(job.run_params, watchdog, *extra)
+                result, seconds, snapshot = _run_single_timed(
+                    job.run_params, watchdog, collect, fault_plan, backoff
+                )
                 break
             except SimulationStalled:
                 attempt += 1
@@ -998,8 +986,7 @@ def _run_inline(
                 if attempt > watchdog_retries:
                     raise _stalled_error(job, watchdog, attempt) from None
                 sleep(_retry_backoff(attempt))
-        snapshot = payload[2] if len(payload) > 2 else None
-        deliver(job, payload[0], payload[1], 0.0, snapshot)
+        deliver(job, result, seconds, 0.0, snapshot)
 
 
 def _run_pooled(
@@ -1064,12 +1051,10 @@ def _pool_round(
     )
     futures = {}
     submitted = {}
-    extra = ()
-    if collect or fault_plan is not None or backoff is not None:
-        extra = (collect, fault_plan, backoff)
     for job in queue:
         future = pool.submit(
-            _run_single_timed, job.run_params, watchdog, *extra
+            _run_single_timed, job.run_params, watchdog,
+            collect, fault_plan, backoff,
         )
         futures[future] = job
         submitted[future] = perf_counter()
@@ -1097,11 +1082,10 @@ def _pool_round(
                     continue  # drained before it started
                 job = futures[future]
                 try:
-                    payload = future.result()
+                    result, seconds, snapshot = future.result()
                 except SimulationStalled:
                     mark_stalled(job)
                 else:
-                    seconds = payload[1]
                     # Queue wait is measured parent-side (the worker
                     # function stays the plain picklable
                     # _run_single_timed): time from submission to the
@@ -1112,8 +1096,7 @@ def _pool_round(
                         0.0,
                         perf_counter() - submitted[future] - seconds,
                     )
-                    snapshot = payload[2] if len(payload) > 2 else None
-                    deliver(job, payload[0], seconds, wait, snapshot)
+                    deliver(job, result, seconds, wait, snapshot)
                 last_progress = perf_counter()
             if draining_since is not None:
                 if (

@@ -28,21 +28,20 @@ class FaultInjector:
     seed:
         Fallback seed when the plan carries none (normally the run's
         own seed, so one seed reproduces workload *and* faults).
-    trace:
-        Optional trace sink; fault transitions are emitted as system
-        events (subject 0): ``proc_crash``, ``proc_recover``,
+    observer:
+        Optional callable ``observer(kind, **details)`` told of every
+        fault transition: ``proc_crash``, ``proc_recover``,
         ``disk_slow``, ``disk_recover``, ``lockmgr_stall``,
-        ``lockmgr_resume``.
+        ``lockmgr_resume``, ``partition``, ``heal``, ``link_delay``
+        and ``link_recover``.  In a model run it is the run's probe
+        (:meth:`repro.core.metrics.MetricsCollector.note_fault`).
     """
 
-    def __init__(self, env, machine, plan, seed, trace=None):
+    def __init__(self, env, machine, plan, seed, observer=None):
         self.env = env
         self.machine = machine
         self.plan = plan
-        self.trace = trace
-        #: Optional live-metrics bundle (set by the model after
-        #: construction); fault transitions then count by kind.
-        self.metrics = None
+        self.observer = observer
         #: Optional cluster network (set by the model for distributed
         #: runs); partition/link-delay specs are skipped without one.
         self.network = None
@@ -84,10 +83,8 @@ class FaultInjector:
         return [i for i in spec.processors if 0 <= i < self.machine.npros]
 
     def _emit(self, kind, **details):
-        if self.metrics is not None:
-            self.metrics.note_fault(kind)
-        if self.trace is not None:
-            self.trace.emit(self.env.now, kind, 0, **details)
+        if self.observer is not None:
+            self.observer(kind, **details)
 
     # -- fault processes -------------------------------------------------
 

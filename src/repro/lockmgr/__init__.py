@@ -2,9 +2,10 @@
 
 The paper models lock conflicts *probabilistically* (the
 Ries–Stonebraker interval model, see :mod:`repro.core.conflict`).  This
-package implements the real thing — a lock table with modes, wait
-queues, preclaim and incremental (2PL) protocols, multi-granularity
-intention locking, and waits-for deadlock detection — so the
+package implements the real thing — a lock table with modes (the
+intention modes included, for multi-granularity locking), wait
+queues, preclaim and incremental (2PL) protocols, and waits-for
+deadlock detection — so the
 probabilistic model can be validated against an explicit
 implementation, and so the library is usable as a standalone locking
 component.
@@ -21,15 +22,11 @@ Layers
     :class:`LockManager` — preclaim (all-or-nothing) and incremental
     acquisition protocols over the table, with callback-based grants so
     it stays independent of any particular simulation kernel.
-:mod:`repro.lockmgr.hierarchy`
-    Multi-granularity locking over a granule tree (database → area →
-    granule), the scheme the paper's Gamma discussion alludes to.
 :mod:`repro.lockmgr.deadlock`
     Waits-for-graph construction and cycle detection (stdlib DFS).
 """
 
 from repro.lockmgr.deadlock import DeadlockDetector
-from repro.lockmgr.hierarchy import GranuleTree, HierarchicalLockManager
 from repro.lockmgr.manager import LockManager, LockRequest, RequestStatus
 from repro.lockmgr.modes import COMPATIBILITY, LockMode, compatible, supremum
 from repro.lockmgr.table import LockTable
@@ -37,8 +34,6 @@ from repro.lockmgr.table import LockTable
 __all__ = [
     "COMPATIBILITY",
     "DeadlockDetector",
-    "GranuleTree",
-    "HierarchicalLockManager",
     "LockManager",
     "LockMode",
     "LockRequest",

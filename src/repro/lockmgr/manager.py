@@ -61,31 +61,23 @@ class LockManager:
     Parameters
     ----------
     observer:
-        Optional callable ``observer(kind, owner, **details)`` invoked
-        at contention transitions: ``"lock_queue"`` when a request has
-        to wait (details: ``granule``, ``mode``, ``holders``),
-        ``"lock_promote"`` when a queued request is granted by a
-        release (``granule``, ``mode``), and ``"lock_cancel"`` when a
-        waiting request is withdrawn (``granule``).  Uncontended
-        grants and releases are deliberately not reported — they are
-        the overwhelmingly common case and carry no diagnostic value.
-        The manager has no clock; the simulation layer wraps the
-        callable to stamp the current time.
-
-    Attributes
-    ----------
-    metrics:
-        Optional live-metrics instrument bundle
-        (:class:`repro.obs.metrics.RunInstruments`); when set, the
-        manager counts grant/queue/promote/cancel/deny transitions by
-        mode.  Every call site is guarded by a single ``is not None``
-        branch so the un-instrumented path costs one comparison.
+        Optional callable ``observer(event, owner, granule, mode,
+        holders=None)`` invoked at every table transition: ``"grant"``
+        and ``"deny"`` (preclaim), ``"grant"`` and ``"queue"``
+        (incremental; a queued request also passes the number of
+        current ``holders``), ``"promote"`` when a release grants a
+        queued request and ``"cancel"`` when a waiting request is
+        withdrawn.  Releases are not reported.  The manager has no
+        clock; in a model run the observer is the run's probe
+        (:meth:`repro.core.metrics.MetricsCollector.note_lock_event`),
+        which stamps the time.  Every call site is guarded by a single
+        ``is not None`` branch, so an unobserved table pays one
+        comparison.
     """
 
     def __init__(self, observer=None):
         self.table = LockTable()
         self.observer = observer
-        self.metrics = None
         self._held = {}
 
     # -- preclaim protocol ---------------------------------------------
@@ -105,13 +97,13 @@ class LockManager:
                 continue
             for holder, held in state.holders.items():
                 if holder != owner and not compatible(held, mode):
-                    if self.metrics is not None:
-                        self.metrics.note_lock_event("deny", mode.name)
+                    if self.observer is not None:
+                        self.observer("deny", owner, granule, mode)
                     return holder
         for granule, mode in requests:
             self._grant(owner, granule, mode)
-            if self.metrics is not None:
-                self.metrics.note_lock_event("grant", mode.name)
+            if self.observer is not None:
+                self.observer("grant", owner, granule, mode)
         return None
 
     # -- incremental protocol --------------------------------------------
@@ -134,26 +126,18 @@ class LockManager:
             if state.grantable(owner, mode):
                 self._grant(owner, granule, mode)
                 request.status = RequestStatus.GRANTED
-                if self.metrics is not None:
-                    self.metrics.note_lock_event("grant", mode.name)
+                if self.observer is not None:
+                    self.observer("grant", owner, granule, mode)
                 return request
         elif not state.waiters and state.grantable(owner, mode):
             self._grant(owner, granule, mode)
             request.status = RequestStatus.GRANTED
-            if self.metrics is not None:
-                self.metrics.note_lock_event("grant", mode.name)
+            if self.observer is not None:
+                self.observer("grant", owner, granule, mode)
             return request
         state.waiters.append(request)
-        if self.metrics is not None:
-            self.metrics.note_lock_event("queue", mode.name)
         if self.observer is not None:
-            self.observer(
-                "lock_queue",
-                owner,
-                granule=granule,
-                mode=mode.name,
-                holders=len(state.holders),
-            )
+            self.observer("queue", owner, granule, mode, len(state.holders))
         return request
 
     def cancel(self, request):
@@ -164,11 +148,9 @@ class LockManager:
         if state is not None and request in state.waiters:
             state.waiters.remove(request)
             request.status = RequestStatus.CANCELLED
-            if self.metrics is not None:
-                self.metrics.note_lock_event("cancel", request.mode.name)
             if self.observer is not None:
                 self.observer(
-                    "lock_cancel", request.owner, granule=request.granule
+                    "cancel", request.owner, request.granule, request.mode
                 )
             self._promote(request.granule)
 
@@ -254,15 +236,8 @@ class LockManager:
             granted.append(request)
         self.table.prune(granule)
         for request in granted:
-            if self.metrics is not None:
-                self.metrics.note_lock_event("promote", request.mode.name)
             if self.observer is not None:
-                self.observer(
-                    "lock_promote",
-                    request.owner,
-                    granule=granule,
-                    mode=request.mode.name,
-                )
+                self.observer("promote", request.owner, granule, request.mode)
             if request.on_grant is not None:
                 request.on_grant(request)
         return granted

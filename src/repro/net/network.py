@@ -128,8 +128,9 @@ class Network:
         self.partition_state = None
         self.messages_sent = 0
         self.messages_dropped = 0
-        #: Optional RunInstruments sink for live message counters.
-        self.instruments = None
+        #: Optional callable ``observer(kind, delivered)`` told of every
+        #: send (the run's probe when live metrics are on).
+        self.observer = None
         #: Optional callbacks the Cluster hooks for availability accounting.
         self.on_partition = None
         self.on_heal = None
@@ -200,13 +201,12 @@ class Network:
         *handler* (if any) is then called with the :class:`Message`.
         Unreachable destinations drop the message at send time.
         """
+        delivered = self.reachable(src, dst)
         self.messages_sent += 1
-        if self.instruments is not None:
-            self.instruments.note_message(kind)
-        if not self.reachable(src, dst):
+        if self.observer is not None:
+            self.observer(kind, delivered)
+        if not delivered:
             self.messages_dropped += 1
-            if self.instruments is not None:
-                self.instruments.note_message_dropped(kind)
             return False
         if handler is not None:
             message = Message(src, dst, kind, payload or {}, self.env.now)

@@ -174,14 +174,29 @@ class TraceFile:
         return self.header.get("params")
 
 
+def _field(document, name, where):
+    """*document*[*name*], or a :class:`TraceSchemaError` naming *where*."""
+    try:
+        return document[name]
+    except KeyError:
+        raise TraceSchemaError(
+            "{}: {} line lacks field {!r}".format(where, document["type"], name)
+        ) from None
+
+
 def load_trace(path):
     """Replay a telemetry JSONL file into a :class:`TraceFile`.
+
+    Blank lines are skipped; the first non-blank line must be the
+    header.
 
     Raises
     ------
     TraceSchemaError
         When the file is empty, does not start with a header, carries
-        an unknown schema version, or contains an unparsable line.
+        an unknown schema version, or contains a line that is not a
+        JSON object, has an unknown type or lacks a required field
+        (every message but the empty-file one names the line).
     """
     header = None
     footer = None
@@ -192,46 +207,53 @@ def load_trace(path):
             line = line.strip()
             if not line:
                 continue
+            where = "{}:{}".format(path, line_no)
             try:
                 document = json.loads(line)
             except ValueError as error:
                 raise TraceSchemaError(
-                    "{}:{}: unparsable line ({})".format(path, line_no, error)
+                    "{}: unparsable line ({})".format(where, error)
                 ) from None
+            if not isinstance(document, dict):
+                raise TraceSchemaError(
+                    "{}: expected a JSON object, got {}".format(
+                        where, type(document).__name__
+                    )
+                )
             kind = document.get("type")
-            if line_no == 1:
+            if header is None:
                 if kind != "header":
                     raise TraceSchemaError(
                         "{}: first line must be a header, got {!r}".format(
-                            path, kind
+                            where, kind
                         )
                     )
                 if document.get("schema") != TRACE_SCHEMA:
                     raise TraceSchemaError(
                         "{}: unsupported trace schema {!r} "
                         "(this reader understands {})".format(
-                            path, document.get("schema"), TRACE_SCHEMA
+                            where, document.get("schema"), TRACE_SCHEMA
                         )
                     )
                 header = document
             elif kind == "record":
                 records.append(
                     TraceRecord(
-                        document["t"],
-                        document["kind"],
-                        document["txn"],
+                        _field(document, "t", where),
+                        _field(document, "kind", where),
+                        _field(document, "txn", where),
                         document.get("d", {}),
                     )
                 )
             elif kind == "sample":
-                sample = {"t": document["t"]}
+                sample = {"t": _field(document, "t", where)}
                 sample.update(document.get("data", {}))
                 samples.append(sample)
             elif kind == "footer":
                 footer = document
             else:
                 raise TraceSchemaError(
-                    "{}:{}: unknown line type {!r}".format(path, line_no, kind)
+                    "{}: unknown line type {!r}".format(where, kind)
                 )
     if header is None:
         raise TraceSchemaError("{}: empty telemetry file".format(path))

@@ -121,20 +121,18 @@ class ConcurrencyControl:
         """
         model = self.model
         model.conflicts.release(txn)
-        model.metrics.active.update(model.conflicts.active_count)
-        model.metrics.locks_held.update(model.conflicts.locks_held)
-        model.metrics.note_failure_abort()
         txn.fault_retries += 1
-        model.emit("retry", txn, node=node, retries=txn.fault_retries)
+        model.metrics.note_fault_abort(txn, node)
         model.wake_waiters(txn)
         yield model.backoff.delay(
             model.rngs["fault_backoff"], txn.fault_retries - 1
         )
 
-    def conflict_abort(self, txn, reason):
+    def conflict_abort(self, txn, reason, blocker=None):
         """Conflict-driven abort bookkeeping plus one backoff variate.
 
-        Emits ``abort``, counts a denial and an abort, feeds the
+        Reports the abort (a denial plus an abort, and the denied
+        request first when *blocker* is given), feeds the
         admission policy's congestion signal, then sleeps a randomised
         backoff so the same conflict does not instantly re-form among
         retrying transactions.  The draw discipline matches
@@ -144,10 +142,8 @@ class ConcurrencyControl:
         backoff never desyncs the stream).
         """
         model = self.model
-        model.emit("abort", txn, aborts=txn.aborts + 1, reason=reason)
-        model.metrics.note_denial()
-        model.metrics.note_abort(reason, txn=txn)
         txn.aborts += 1
+        model.metrics.note_abort(txn, reason, blocker)
         model.admission.policy.on_deny()
         delay = model.backoff.delay(model.rngs["backoff"], txn.aborts - 1)
         if txn.txn_class is not None and txn.txn_class.backoff != 1.0:
@@ -170,15 +166,14 @@ class PreclaimCC(ConcurrencyControl):
         plan_count = getattr(model.conflicts, "planned_lock_count", None)
         while True:
             txn.attempts += 1
-            model.metrics.note_request()
             locks = plan_count(txn) if plan_count is not None else txn.lock_count
-            model.emit("lock_request", txn, attempt=txn.attempts, locks=locks)
+            model.metrics.note_request(txn, locks)
             yield model.machine.lock_overhead(
                 locks * params.lcputime, locks * params.liotime
             )
             blocker = model.conflicts.request(txn)
             if blocker is None:
-                model.emit("lock_grant", txn, attempt=txn.attempts)
+                model.metrics.emit("lock_grant", txn, attempt=txn.attempts)
                 model.admission.policy.on_grant()
                 return
             yield from self._denied(txn, blocker)
@@ -186,23 +181,14 @@ class PreclaimCC(ConcurrencyControl):
     def _denied(self, txn, blocker):
         """Denied request: wait for *blocker* to complete, then retry."""
         model = self.model
-        model.emit("lock_deny", txn, blocker=blocker.tid)
-        model.metrics.note_denial()
+        model.metrics.note_denial(txn, blocker)
         model.admission.policy.on_deny()
         wake = model.env.event()
         model.blocked_wakes.setdefault(blocker.tid, []).append(wake)
-        model.emit("block", txn, blocker=blocker.tid)
-        model.metrics.blocked.increment(1)
+        model.metrics.note_block(txn, blocker)
         blocked_at = model.env.now
         yield wake
-        model.emit("wake", txn)
-        model.metrics.blocked.increment(-1)
-        if model.instruments is not None:
-            # Preclaim has no per-granule identity; the wait is
-            # attributed to the run's granularity label only.
-            model.instruments.observe_lock_wait(
-                model.env.now - blocked_at, txn_class=txn.class_name
-            )
+        model.metrics.note_wake(txn, blocked_at)
 
 
 class NoWaitingCC(PreclaimCC):
@@ -213,11 +199,7 @@ class NoWaitingCC(PreclaimCC):
 
     def _denied(self, txn, blocker):
         """Denied request: abort immediately, back off, restart."""
-        model = self.model
-        model.emit("lock_deny", txn, blocker=blocker.tid)
-        # conflict_abort counts the denial (metrics + admission
-        # feedback) along with the abort.
-        yield from self.conflict_abort(txn, reason="no-waiting")
+        yield from self.conflict_abort(txn, "no-waiting", blocker)
 
 
 class IncrementalCC(ConcurrencyControl):
@@ -246,11 +228,7 @@ class IncrementalCC(ConcurrencyControl):
         mode = LockMode.X if txn.is_writer else LockMode.S
         while True:
             txn.attempts += 1
-            model.metrics.note_request()
-            model.emit(
-                "lock_request", txn, attempt=txn.attempts,
-                locks=len(txn.granules),
-            )
+            model.metrics.note_request(txn, len(txn.granules))
             # The bundled request/set/release cost, charged per attempt
             # exactly as in the preclaim protocol so the two schemes
             # differ only in conflict semantics.
@@ -280,21 +258,16 @@ class IncrementalCC(ConcurrencyControl):
                     break
                 if victim is not None:
                     self._abort_waiter(victim)
-                model.metrics.blocked.increment(1)
+                model.metrics.note_block(txn)
                 blocked_at = model.env.now
                 outcome = yield wake
-                model.metrics.blocked.increment(-1)
-                if model.instruments is not None:
-                    model.instruments.observe_lock_wait(
-                        model.env.now - blocked_at, granule=granule,
-                        txn_class=txn.class_name,
-                    )
+                model.metrics.note_wake(txn, blocked_at, granule)
                 self._waiting.pop(txn.tid, None)
                 if outcome == ABORTED:
                     aborted = True
                     break
             if not aborted:
-                model.emit("lock_grant", txn, attempt=txn.attempts)
+                model.metrics.emit("lock_grant", txn, attempt=txn.attempts)
                 model.conflicts.mark_active(txn)
                 model.admission.policy.on_grant()
                 return
@@ -347,11 +320,7 @@ class WoundWaitCC(ConcurrencyControl):
         self._wounded.discard(txn.tid)
         while True:
             txn.attempts += 1
-            model.metrics.note_request()
-            model.emit(
-                "lock_request", txn, attempt=txn.attempts,
-                locks=len(txn.granules),
-            )
+            model.metrics.note_request(txn, len(txn.granules))
             yield model.machine.lock_overhead(
                 len(txn.granules) * params.lcputime,
                 len(txn.granules) * params.liotime,
@@ -373,21 +342,16 @@ class WoundWaitCC(ConcurrencyControl):
                 for holder in manager.conflicting_holders(txn, granule, mode):
                     if holder.tid > txn.tid:
                         self._wound(holder)
-                model.metrics.blocked.increment(1)
+                model.metrics.note_block(txn)
                 blocked_at = model.env.now
                 outcome = yield wake
-                model.metrics.blocked.increment(-1)
-                if model.instruments is not None:
-                    model.instruments.observe_lock_wait(
-                        model.env.now - blocked_at, granule=granule,
-                        txn_class=txn.class_name,
-                    )
+                model.metrics.note_wake(txn, blocked_at, granule)
                 self._waiting.pop(txn.tid, None)
                 if outcome == ABORTED:
                     aborted = True
                     break
             if not aborted:
-                model.emit("lock_grant", txn, attempt=txn.attempts)
+                model.metrics.emit("lock_grant", txn, attempt=txn.attempts)
                 model.conflicts.mark_active(txn)
                 model.admission.policy.on_grant()
                 return
@@ -414,7 +378,6 @@ class WoundWaitCC(ConcurrencyControl):
         self._wounded.discard(txn.tid)
         model = self.model
         model.conflicts.release(txn)
-        model.metrics.active.update(model.conflicts.active_count)
-        model.metrics.locks_held.update(model.conflicts.locks_held)
+        model.metrics.note_occupancy()
         yield from self.conflict_abort(txn, reason="wounded")
         return False

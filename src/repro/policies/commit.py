@@ -80,11 +80,8 @@ class CommitProtocol:
         """
         model = self.model
         model.conflicts.release(txn)
-        model.metrics.active.update(model.conflicts.active_count)
-        model.metrics.locks_held.update(model.conflicts.locks_held)
-        model.metrics.note_commit_abort(reason)
         txn.commit_retries += 1
-        model.emit("commit_abort", txn, reason=reason, retries=txn.commit_retries)
+        model.metrics.note_commit_abort(txn, reason)
         model.wake_waiters(txn)
         yield model.backoff.delay(
             model.rngs["commit_backoff"], txn.commit_retries - 1
@@ -228,5 +225,4 @@ class PrimaryCopyCommit(CommitProtocol):
             # Nobody elected meanwhile (concurrent coordinators race
             # here; first one to wake wins, the rest observe).
             cluster.elect(new_primary)
-            model.metrics.note_election()
-            model.emit_system("election", primary=new_primary, was=old_primary)
+            model.metrics.note_election(new_primary, old_primary)

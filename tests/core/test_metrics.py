@@ -1,9 +1,11 @@
 """Unit tests for the metrics collector."""
 
 import math
+import random
 
 import pytest
 
+from repro.core.conflict import make_conflict_engine
 from repro.core.metrics import MetricsCollector, _percentiles
 from repro.core.parameters import SimulationParameters
 from repro.core.transaction import Transaction
@@ -18,7 +20,8 @@ def setup():
     )
     env = Environment()
     machine = Machine(env, params.npros)
-    collector = MetricsCollector(env, params, machine)
+    conflicts = make_conflict_engine(params, random.Random(1))
+    collector = MetricsCollector(env, params, machine, conflicts)
     return env, params, machine, collector
 
 
@@ -62,9 +65,10 @@ class TestPercentiles:
 class TestCounting:
     def test_requests_and_denials(self, setup):
         _, _, _, collector = setup
-        collector.note_request()
-        collector.note_request()
-        collector.note_denial()
+        txn = Transaction(1, nu=5, lock_count=1)
+        collector.note_request(txn, 1)
+        collector.note_request(txn, 1)
+        collector.note_denial(txn, Transaction(2, nu=5, lock_count=1))
         assert collector.lock_requests == 2
         assert collector.lock_denials == 1
 
@@ -86,8 +90,9 @@ class TestCounting:
 
     def test_abort_counting(self, setup):
         _, _, _, collector = setup
-        collector.note_abort()
+        collector.note_abort(Transaction(1, nu=5, lock_count=1), "deadlock")
         assert collector.deadlock_aborts == 1
+        assert collector.lock_denials == 1
 
 
 class TestFinalize:
@@ -125,20 +130,21 @@ class TestWarmup:
         )
         env = Environment()
         machine = Machine(env, params.npros)
-        collector = MetricsCollector(env, params, machine)
+        conflicts = make_conflict_engine(params, random.Random(1))
+        collector = MetricsCollector(env, params, machine, conflicts)
 
         def early_and_late(env):
             machine[0].io(10.0)  # entirely before warmup
             txn = Transaction(1, nu=5, lock_count=1)
             txn.arrival = 0.0
-            collector.note_request()
+            collector.note_request(txn, 1)
             yield env.timeout(20)
             collector.note_completion(txn)
             yield env.timeout(40)  # now at t=60, inside the window
             machine[0].io(5.0)
             late = Transaction(2, nu=5, lock_count=1)
             late.arrival = 60.0
-            collector.note_request()
+            collector.note_request(late, 1)
             yield env.timeout(10)
             collector.note_completion(late)
 

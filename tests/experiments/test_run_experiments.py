@@ -139,9 +139,9 @@ class TestQueueOrdering:
         started = []
         real = runner_module._run_single_timed
 
-        def spying(params, timeout=None):
+        def spying(params, *args):
             started.append((params.tmax, params.npros))
-            return real(params, timeout)
+            return real(params, *args)
 
         monkeypatch.setattr(runner_module, "_run_single_timed", spying)
         spec = _spec("order")

@@ -20,14 +20,14 @@ from repro.experiments.runner import (
 )
 
 
-def _failing_worker(params, timeout=None):
+def _failing_worker(params, *args):
     """Module-level replacement worker (process pools must pickle it)."""
     if params.ltot == 20:
         raise RuntimeError("injected failure ltot=20")
-    return _run_single_timed(params)
+    return _run_single_timed(params, *args)
 
 
-def _always_stalling_worker(params, timeout=None):
+def _always_stalling_worker(params, *args):
     """Module-level stalling worker (process pools must pickle it)."""
     raise SimulationStalled("injected stall")
 
@@ -38,11 +38,11 @@ class _StallOnceWorker:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, params, timeout=None):
+    def __call__(self, params, *args):
         self.calls += 1
         if self.calls == 1:
             raise SimulationStalled("injected stall")
-        return _run_single_timed(params)
+        return _run_single_timed(params, *args)
 
 
 @pytest.fixture

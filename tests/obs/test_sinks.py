@@ -117,3 +117,31 @@ class TestSchemaValidation:
         )
         with pytest.raises(TraceSchemaError, match="unknown line type"):
             load_trace(path)
+
+    def test_blank_lines_before_header_are_skipped(self, tmp_path):
+        path = tmp_path / "padded.jsonl"
+        path.write_text(
+            "\n   \n" + json.dumps({"type": "header", "schema": TRACE_SCHEMA})
+            + "\n" + json.dumps({"type": "record", "t": 0, "kind": "x", "txn": 1})
+            + "\n"
+        )
+        loaded = load_trace(path)
+        assert loaded.header["schema"] == TRACE_SCHEMA
+        assert len(loaded) == 1
+
+    def test_record_missing_a_field_names_the_line(self, tmp_path):
+        path = tmp_path / "short.jsonl"
+        path.write_text(
+            json.dumps({"type": "header", "schema": TRACE_SCHEMA})
+            + "\n" + json.dumps({"type": "record", "t": 0, "txn": 1}) + "\n"
+        )
+        with pytest.raises(TraceSchemaError, match=r"short\.jsonl:2: .*'kind'"):
+            load_trace(path)
+
+    def test_non_object_line_names_the_line(self, tmp_path):
+        path = tmp_path / "list.jsonl"
+        path.write_text(
+            json.dumps({"type": "header", "schema": TRACE_SCHEMA}) + "\n[1, 2]\n"
+        )
+        with pytest.raises(TraceSchemaError, match=r"list\.jsonl:2: .*object"):
+            load_trace(path)

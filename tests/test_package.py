@@ -60,7 +60,6 @@ MODULES = [
     "repro.faults.plan",
     "repro.lockmgr",
     "repro.lockmgr.deadlock",
-    "repro.lockmgr.hierarchy",
     "repro.lockmgr.manager",
     "repro.lockmgr.modes",
     "repro.lockmgr.table",
