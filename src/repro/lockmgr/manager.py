@@ -24,9 +24,12 @@ wires to events.
 """
 
 import enum
+from operator import attrgetter
 
-from repro.lockmgr.modes import LockMode, compatible
+from repro.lockmgr.modes import LockMode, compatible, supremum
 from repro.lockmgr.table import LockTable
+
+_CREATION = attrgetter("seq")
 
 
 class RequestStatus(enum.Enum):
@@ -78,7 +81,11 @@ class LockManager:
     def __init__(self, observer=None):
         self.table = LockTable()
         self.observer = observer
+        #: owner -> set of granules it holds (mirrors the table).
         self._held = {}
+        #: granule -> GranuleState for every granule with a non-empty
+        #: wait queue, so deadlock detection never scans the table.
+        self._waited = {}
 
     # -- preclaim protocol ---------------------------------------------
 
@@ -119,26 +126,37 @@ class LockManager:
         compatible with the current holders, so writers cannot starve.
         """
         request = LockRequest(owner, granule, mode, on_grant)
-        state = self.table.state(granule)
-        already_held = state.holders.get(owner)
-        if already_held is not None and compatible(already_held, mode):
-            # Upgrade path: only other holders can conflict.
-            if state.grantable(owner, mode):
-                self._grant(owner, granule, mode)
-                request.status = RequestStatus.GRANTED
-                if self.observer is not None:
-                    self.observer("grant", owner, granule, mode)
-                return request
-        elif not state.waiters and state.grantable(owner, mode):
-            self._grant(owner, granule, mode)
+        state = self._admit(owner, granule, mode)
+        if state is None:
             request.status = RequestStatus.GRANTED
             if self.observer is not None:
                 self.observer("grant", owner, granule, mode)
-            return request
-        state.waiters.append(request)
-        if self.observer is not None:
-            self.observer("queue", owner, granule, mode, len(state.holders))
+        else:
+            self._enqueue(state, request)
         return request
+
+    def acquire_from(self, owner, granules, start, mode):
+        """Acquire ``granules[start:]`` in order until one must queue.
+
+        Equivalent to calling :meth:`acquire` on each granule in turn
+        and stopping at the first ``WAITING`` request, but only that
+        request is allocated.  Returns ``(index, request)`` for the
+        granule that queued, or ``(len(granules), None)`` when every
+        lock was granted.
+        """
+        observer = self.observer
+        admit = self._admit
+        for index in range(start, len(granules)):
+            granule = granules[index]
+            state = admit(owner, granule, mode)
+            if state is None:
+                if observer is not None:
+                    observer("grant", owner, granule, mode)
+                continue
+            request = LockRequest(owner, granule, mode)
+            self._enqueue(state, request)
+            return index, request
+        return len(granules), None
 
     def cancel(self, request):
         """Withdraw a waiting request (deadlock-victim path)."""
@@ -152,7 +170,7 @@ class LockManager:
                 self.observer(
                     "cancel", request.owner, request.granule, request.mode
                 )
-            self._promote(request.granule)
+            self._promote(request.granule, state)
 
     # -- release -----------------------------------------------------------
 
@@ -164,13 +182,29 @@ class LockManager:
             if not held:
                 del self._held[owner]
         self.table.revoke(granule, owner)
-        return self._promote(granule)
+        state = self.table.peek(granule)
+        if state is None or not state.waiters:
+            return []
+        return self._promote(granule, state)
 
     def release_all(self, owner):
-        """Release every lock *owner* holds; returns granted requests."""
+        """Release every lock *owner* holds; returns granted requests.
+
+        Granules are released in the order of *owner*'s held set, and
+        each one's queue is promoted before the next is released.
+        """
+        held = self._held.pop(owner, None)
+        if held is None:
+            return []
+        states = self.table.states
         granted = []
-        for granule in list(self._held.get(owner, ())):
-            granted.extend(self.release(owner, granule))
+        for granule in held:
+            state = states[granule]
+            del state.holders[owner]
+            if state.waiters:
+                granted.extend(self._promote(granule, state))
+            elif not state.holders:
+                del states[granule]
         return granted
 
     # -- introspection -------------------------------------------------
@@ -198,43 +232,121 @@ class LockManager:
             if holder != owner and not compatible(held, mode)
         ]
 
+    def population(self):
+        """``(holders, waiters)``: locks held and requests queued, overall."""
+        holders = sum(len(held) for held in self._held.values())
+        waiters = sum(len(state.waiters) for state in self._waited.values())
+        return holders, waiters
+
     def waits_for_edges(self):
         """Yield (waiter, holder) pairs for the waits-for graph.
 
         A waiter waits on each current holder its mode conflicts with.
+        Only granules with a wait queue are visited, in table creation
+        order, so the edge order (and hence the deadlock victim) is
+        that of a scan over the whole table.
         """
-        for granule in self.table.locked_granules():
-            state = self.table.peek(granule)
-            if state is None:
-                continue
+        for state in sorted(self._waited.values(), key=_CREATION):
+            holders = state.holders
             for request in state.waiters:
-                for holder, held in state.holders.items():
+                for holder, held in holders.items():
                     if holder != request.owner and not compatible(
                         held, request.mode
                     ):
                         yield (request.owner, holder)
 
+    def check_invariants(self):
+        """Assert the manager's indexes agree with the table; for tests.
+
+        * the table's own invariants hold;
+        * the held sets list exactly the table's holders;
+        * the waiter index is exactly the set of granules with a
+          non-empty queue, and every such granule has a holder.
+        """
+        self.table.check_invariants()
+        holders = {}
+        waited = {}
+        for granule, state in self.table.states.items():
+            for owner in state.holders:
+                holders.setdefault(owner, set()).add(granule)
+            if state.waiters:
+                if not state.holders:
+                    raise AssertionError(
+                        "waiters without holders on {!r}".format(granule)
+                    )
+                waited[granule] = state
+        if holders != self._held:
+            raise AssertionError(
+                "held sets {!r} do not mirror the table {!r}".format(
+                    self._held, holders
+                )
+            )
+        if waited.keys() != self._waited.keys() or any(
+            self._waited[granule] is not state
+            for granule, state in waited.items()
+        ):
+            raise AssertionError(
+                "waiter index {!r} != queued granules {!r}".format(
+                    sorted(self._waited, key=repr), sorted(waited, key=repr)
+                )
+            )
+
     # -- internals -------------------------------------------------------
+
+    def _admit(self, owner, granule, mode):
+        """Grant *owner* *mode* on *granule* if it can be granted now.
+
+        Returns ``None`` when granted, else the granule's state, on
+        which the request must queue.  An owner already holding a
+        compatible mode bypasses the FIFO queue (only other holders
+        can conflict); any other request waits behind queued ones.
+        """
+        state = self.table.states.get(granule)
+        if state is None:
+            self.table.create(granule).holders[owner] = mode
+        else:
+            already = state.holders.get(owner)
+            upgrade = already is not None and compatible(already, mode)
+            if (state.waiters and not upgrade) or not state.grantable(owner, mode):
+                return state
+            state.holders[owner] = (
+                mode if already is None else supremum(already, mode)
+            )
+        held = self._held.get(owner)
+        if held is None:
+            self._held[owner] = {granule}
+        else:
+            held.add(granule)
+        return None
+
+    def _enqueue(self, state, request):
+        state.waiters.append(request)
+        self._waited[request.granule] = state
+        if self.observer is not None:
+            self.observer(
+                "queue", request.owner, request.granule, request.mode,
+                len(state.holders),
+            )
 
     def _grant(self, owner, granule, mode):
         self.table.grant(granule, owner, mode)
         self._held.setdefault(owner, set()).add(granule)
 
-    def _promote(self, granule):
+    def _promote(self, granule, state):
         """Grant queued waiters in FIFO order while compatible."""
-        state = self.table.peek(granule)
-        if state is None:
-            return []
         granted = []
-        while state.waiters:
-            request = state.waiters[0]
+        waiters = state.waiters
+        while waiters:
+            request = waiters[0]
             if not state.grantable(request.owner, request.mode):
                 break
-            state.waiters.popleft()
+            waiters.popleft()
             self._grant(request.owner, granule, request.mode)
             request.status = RequestStatus.GRANTED
             granted.append(request)
-        self.table.prune(granule)
+        if not waiters:
+            del self._waited[granule]
+            self.table.prune(granule)
         for request in granted:
             if self.observer is not None:
                 self.observer("promote", request.owner, granule, request.mode)

@@ -14,13 +14,17 @@ class GranuleState:
         Mapping owner → mode currently granted.
     waiters:
         FIFO of pending :class:`~repro.lockmgr.manager.LockRequest`.
+    seq:
+        Creation number assigned by the owning :class:`LockTable`;
+        states sorted by it come out in the table's iteration order.
     """
 
-    __slots__ = ("holders", "waiters")
+    __slots__ = ("holders", "waiters", "seq")
 
-    def __init__(self):
+    def __init__(self, seq):
         self.holders = {}
         self.waiters = deque()
+        self.seq = seq
 
     def grantable(self, owner, mode):
         """Can *owner* take *mode* here, given the current holders?
@@ -43,37 +47,48 @@ class LockTable:
     drain, so memory scales with *locked* granules, not with ``ltot`` —
     the in-memory analogue of the paper's observation that fine
     granularity needs big lock tables.
+
+    ``states`` maps granule → :class:`GranuleState` in creation order;
+    :class:`~repro.lockmgr.manager.LockManager` reads and prunes it
+    directly on its grant and release paths.
     """
 
     def __init__(self):
-        self._states = {}
+        self.states = {}
+        self._created = 0
 
     def __len__(self):
-        return len(self._states)
+        return len(self.states)
 
     def __contains__(self, granule):
-        return granule in self._states
+        return granule in self.states
 
     def state(self, granule):
         """The :class:`GranuleState` for *granule*, created if absent."""
-        state = self._states.get(granule)
+        state = self.states.get(granule)
         if state is None:
-            state = GranuleState()
-            self._states[granule] = state
+            state = self.create(granule)
+        return state
+
+    def create(self, granule):
+        """A new, empty state for *granule* (which must have none)."""
+        state = GranuleState(self._created)
+        self._created += 1
+        self.states[granule] = state
         return state
 
     def peek(self, granule):
         """The state for *granule*, or ``None`` if it has no entry."""
-        return self._states.get(granule)
+        return self.states.get(granule)
 
     def holders(self, granule):
         """Snapshot mapping owner → mode for *granule*."""
-        state = self._states.get(granule)
+        state = self.states.get(granule)
         return dict(state.holders) if state else {}
 
     def mode_of(self, granule, owner):
         """The mode *owner* holds on *granule*, or ``None``."""
-        state = self._states.get(granule)
+        state = self.states.get(granule)
         if state is None:
             return None
         return state.holders.get(owner)
@@ -86,7 +101,7 @@ class LockTable:
 
     def revoke(self, granule, owner):
         """Remove *owner*'s lock on *granule* (no-op if absent)."""
-        state = self._states.get(granule)
+        state = self.states.get(granule)
         if state is None:
             return
         state.holders.pop(owner, None)
@@ -94,19 +109,19 @@ class LockTable:
 
     def _discard_if_empty(self, granule, state):
         if not state.holders and not state.waiters:
-            del self._states[granule]
+            del self.states[granule]
 
     def prune(self, granule):
         """Drop *granule*'s state if it has no holders and no waiters."""
-        state = self._states.get(granule)
+        state = self.states.get(granule)
         if state is not None:
             self._discard_if_empty(granule, state)
 
     def locked_granules(self, owner=None):
         """Granule ids with any holder, or those held by *owner*."""
         if owner is None:
-            return [g for g, s in self._states.items() if s.holders]
-        return [g for g, s in self._states.items() if owner in s.holders]
+            return [g for g, s in self.states.items() if s.holders]
+        return [g for g, s in self.states.items() if owner in s.holders]
 
     def check_invariants(self):
         """Assert structural invariants; used by tests.
@@ -114,7 +129,7 @@ class LockTable:
         * every pair of distinct holders on a granule is compatible;
         * no state object is empty (they are discarded eagerly).
         """
-        for granule, state in self._states.items():
+        for granule, state in self.states.items():
             if not state.holders and not state.waiters:
                 raise AssertionError("empty state retained for {!r}".format(granule))
             holders = list(state.holders.items())

@@ -687,17 +687,10 @@ class RunInstruments:
         self.registry.add_collector(collect)
 
     def attach_lock_table(self, manager):
-        """Poll holder/waiter populations from the lock table on scrape."""
-        table = manager.table
+        """Poll holder/waiter populations from the lock manager on scrape."""
 
         def collect():
-            holders = 0
-            waiters = 0
-            for granule in table.locked_granules():
-                state = table.peek(granule)
-                if state is not None:
-                    holders += len(state.holders)
-                    waiters += len(state.waiters)
+            holders, waiters = manager.population()
             self.lock_holders.set(holders)
             self.lock_waiters.set(waiters)
 

@@ -48,7 +48,6 @@ ones subclass :class:`ConcurrencyControl`, implement ``acquire`` and
 register under a fresh name (see DESIGN.md §8 for a worked example).
 """
 
-from repro.lockmgr.manager import RequestStatus
 from repro.lockmgr.modes import LockMode
 
 #: Outcome value delivered to a waiting request when its owner is
@@ -237,10 +236,13 @@ class IncrementalCC(ConcurrencyControl):
                 len(txn.granules) * params.liotime,
             )
             aborted = False
-            for granule in txn.granules:
-                request = manager.acquire(txn, granule, mode)
-                if request.status is RequestStatus.GRANTED:
-                    continue
+            index = 0
+            while True:
+                index, request = manager.acquire_from(
+                    txn, txn.granules, index, mode
+                )
+                if request is None:
+                    break
                 wake = model.env.event()
                 request.on_grant = (
                     lambda _req, event=wake: event.succeed("granted")
@@ -261,11 +263,12 @@ class IncrementalCC(ConcurrencyControl):
                 model.metrics.note_block(txn)
                 blocked_at = model.env.now
                 outcome = yield wake
-                model.metrics.note_wake(txn, blocked_at, granule)
+                model.metrics.note_wake(txn, blocked_at, request.granule)
                 self._waiting.pop(txn.tid, None)
                 if outcome == ABORTED:
                     aborted = True
                     break
+                index += 1
             if not aborted:
                 model.metrics.emit("lock_grant", txn, attempt=txn.attempts)
                 model.conflicts.mark_active(txn)
@@ -326,10 +329,13 @@ class WoundWaitCC(ConcurrencyControl):
                 len(txn.granules) * params.liotime,
             )
             aborted = False
-            for granule in txn.granules:
-                request = manager.acquire(txn, granule, mode)
-                if request.status is RequestStatus.GRANTED:
-                    continue
+            index = 0
+            while True:
+                index, request = manager.acquire_from(
+                    txn, txn.granules, index, mode
+                )
+                if request is None:
+                    break
                 wake = model.env.event()
                 request.on_grant = (
                     lambda _req, event=wake: event.succeed("granted")
@@ -339,17 +345,20 @@ class WoundWaitCC(ConcurrencyControl):
                 # wounded waiter's locks may promote our own queued
                 # request synchronously, in which case the wake event
                 # is already triggered when we yield it.
-                for holder in manager.conflicting_holders(txn, granule, mode):
+                for holder in manager.conflicting_holders(
+                    txn, request.granule, mode
+                ):
                     if holder.tid > txn.tid:
                         self._wound(holder)
                 model.metrics.note_block(txn)
                 blocked_at = model.env.now
                 outcome = yield wake
-                model.metrics.note_wake(txn, blocked_at, granule)
+                model.metrics.note_wake(txn, blocked_at, request.granule)
                 self._waiting.pop(txn.tid, None)
                 if outcome == ABORTED:
                     aborted = True
                     break
+                index += 1
             if not aborted:
                 model.metrics.emit("lock_grant", txn, attempt=txn.attempts)
                 model.conflicts.mark_active(txn)

@@ -1,9 +1,15 @@
 """Property-based tests of the lock manager (hypothesis)."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.lockmgr import DeadlockDetector, LockManager, LockMode, RequestStatus
+from repro.lockmgr import (
+    DeadlockDetector,
+    LockManager,
+    LockMode,
+    RequestStatus,
+    compatible,
+)
 
 OWNERS = ["T{}".format(i) for i in range(5)]
 GRANULES = list(range(6))
@@ -36,7 +42,7 @@ class TestManagerProperties:
                 manager.acquire(owner, granule, mode)
             else:
                 manager.release_all(op[1])
-            manager.table.check_invariants()
+            manager.check_invariants()
 
     @given(operations)
     @settings(max_examples=80, deadline=None)
@@ -51,10 +57,13 @@ class TestManagerProperties:
                     waiting.append(request)
             else:
                 manager.release_all(op[1])
+            manager.check_invariants()
         for request in waiting:
             manager.cancel(request)
+            manager.check_invariants()
         for owner in OWNERS:
             manager.release_all(owner)
+            manager.check_invariants()
         assert len(manager.table) == 0
 
     @given(operations)
@@ -70,6 +79,7 @@ class TestManagerProperties:
                     assert held is not None
             else:
                 manager.release_all(op[1])
+            manager.check_invariants()
 
     @given(operations)
     @settings(max_examples=60, deadline=None)
@@ -86,6 +96,7 @@ class TestManagerProperties:
                     requests.setdefault(owner, []).append(request)
             else:
                 manager.release_all(op[1])
+            manager.check_invariants()
         detector = DeadlockDetector(manager)
         for _ in range(len(OWNERS) + 1):
             victim = detector.resolve_once()
@@ -94,6 +105,7 @@ class TestManagerProperties:
             for request in requests.pop(victim, []):
                 manager.cancel(request)
             manager.release_all(victim)
+            manager.check_invariants()
         assert detector.find_cycle() is None
 
 
@@ -127,4 +139,163 @@ class TestPreclaimProperties:
             else:
                 assert manager.lock_count(owner) == 0
                 assert blocker in active
-            manager.table.check_invariants()
+            manager.check_invariants()
+
+
+# -- differential tests against the full-table-scan algorithms -----------
+
+modes = st.sampled_from([LockMode.S, LockMode.X])
+
+mixed_operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("acquire"),
+            st.sampled_from(OWNERS),
+            st.sampled_from(GRANULES),
+            modes,
+        ),
+        st.tuples(
+            st.just("acquire_from"),
+            st.sampled_from(OWNERS),
+            st.lists(st.sampled_from(GRANULES), min_size=1, max_size=4),
+            st.integers(min_value=0, max_value=4),
+            modes,
+        ),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=30)),
+        st.tuples(
+            st.just("release"),
+            st.sampled_from(OWNERS),
+            st.sampled_from(GRANULES),
+        ),
+        st.tuples(st.just("release_all"), st.sampled_from(OWNERS)),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+def scan_edges(manager):
+    """Waits-for edges by scanning every locked granule of the table."""
+    table = manager.table
+    edges = []
+    for granule in table.locked_granules():
+        state = table.peek(granule)
+        for request in state.waiters:
+            for holder, held in state.holders.items():
+                if holder != request.owner and not compatible(held, request.mode):
+                    edges.append((request.owner, holder))
+    return edges
+
+
+def acquire_loop(manager, owner, granules, start, mode):
+    """``acquire_from`` spelled as one ``acquire`` per granule."""
+    for index in range(start, len(granules)):
+        request = manager.acquire(owner, granules[index], mode)
+        if request.status is RequestStatus.WAITING:
+            return index, request
+    return len(granules), None
+
+
+def release_loop(manager, owner):
+    """``release_all`` spelled as one ``release`` per held granule."""
+    granted = []
+    for granule in list(manager._held.get(owner, ())):
+        granted.extend(manager.release(owner, granule))
+    return granted
+
+
+def describe(request):
+    if request is None:
+        return None
+    return (request.owner, request.granule, request.mode, request.status)
+
+
+def snapshot(manager):
+    """Everything observable about a manager, in iteration order."""
+    table = [
+        (
+            granule,
+            state.seq,
+            list(state.holders.items()),
+            [describe(request) for request in state.waiters],
+        )
+        for granule, state in manager.table.states.items()
+    ]
+    return table, manager._held
+
+
+def recording_manager():
+    events = []
+    manager = LockManager(observer=lambda *event: events.append(event))
+    return manager, events
+
+
+def apply(manager, op, waiting, batched=True):
+    """Run one operation; returns what the call returned, described."""
+    kind = op[0]
+    if kind == "acquire":
+        _, owner, granule, mode = op
+        request = manager.acquire(owner, granule, mode)
+        if request.status is RequestStatus.WAITING:
+            waiting.append(request)
+        return describe(request)
+    if kind == "acquire_from":
+        _, owner, granules, start, mode = op
+        start = min(start, len(granules))
+        acquire = manager.acquire_from if batched else (
+            lambda *args: acquire_loop(manager, *args)
+        )
+        index, request = acquire(owner, granules, start, mode)
+        if request is not None:
+            waiting.append(request)
+        return index, describe(request)
+    if kind == "cancel":
+        if waiting:
+            manager.cancel(waiting[op[1] % len(waiting)])
+        return None
+    if kind == "release":
+        return [describe(r) for r in manager.release(op[1], op[2])]
+    release = manager.release_all if batched else (
+        lambda owner: release_loop(manager, owner)
+    )
+    return [describe(r) for r in release(op[1])]
+
+
+class TestIndexedManagerMatchesTableScan:
+    @given(mixed_operations)
+    @settings(max_examples=150, deadline=None)
+    def test_waits_for_edges_match_a_full_scan_in_order(self, ops):
+        manager = LockManager()
+        waiting = []
+        for op in ops:
+            apply(manager, op, waiting)
+            manager.check_invariants()
+            assert list(manager.waits_for_edges()) == scan_edges(manager)
+
+    @given(mixed_operations)
+    @settings(max_examples=150, deadline=None)
+    @example(
+        # One owner's release wakes waiters on three granules.
+        [
+            ("acquire_from", "T0", [2, 0, 5], 0, LockMode.X),
+            ("acquire", "T1", 5, LockMode.X),
+            ("acquire", "T2", 0, LockMode.S),
+            ("acquire", "T3", 2, LockMode.S),
+            ("release_all", "T0"),
+        ]
+    )
+    def test_batched_calls_match_per_granule_calls(self, ops):
+        """``acquire_from`` and ``release_all`` leave the same table,
+        held sets and observer events, and return the same requests,
+        as the equivalent loops of single-granule calls."""
+        batched, batched_events = recording_manager()
+        single, single_events = recording_manager()
+        batched_waiting, single_waiting = [], []
+        for op in ops:
+            got = apply(batched, op, batched_waiting)
+            want = apply(single, op, single_waiting, batched=False)
+            assert got == want
+            assert snapshot(batched) == snapshot(single)
+            assert batched_events == single_events
+            batched.check_invariants()
+            single.check_invariants()

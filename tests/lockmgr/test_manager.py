@@ -1,7 +1,8 @@
 """Unit tests for the lock manager's two protocols."""
 
+import pytest
 
-from repro.lockmgr import LockManager, LockMode, RequestStatus
+from repro.lockmgr import DeadlockDetector, LockManager, LockMode, RequestStatus
 from repro.lockmgr.manager import exclusive_requests
 
 
@@ -149,6 +150,49 @@ class TestIncremental:
         edges = set(manager.waits_for_edges())
         assert ("A", "B") in edges
         assert ("B", "A") in edges
+        manager.check_invariants()
+
+    def test_waits_for_edges_follow_table_creation_order(self):
+        # The edge order decides which cycle the detector finds first,
+        # and so the victim: it must be the order of a scan over the
+        # table (granule-state creation order), not the order in which
+        # requests queued or granule ids sort.
+        manager = LockManager()
+        manager.acquire("A", "g1", LockMode.X)
+        manager.acquire("B", "g2", LockMode.S)
+        manager.acquire("G", "g2", LockMode.S)
+        manager.acquire("C", "g3", LockMode.X)
+        manager.release_all("A")  # prunes g1's state...
+        manager.acquire("D", "g1", LockMode.X)  # ...and re-creates it last
+        manager.acquire("E", "g1", LockMode.X)
+        manager.acquire("A", "g3", LockMode.S)
+        manager.acquire("H", "g3", LockMode.X)
+        manager.acquire("F", "g2", LockMode.X)
+        manager.check_invariants()
+        assert list(manager.waits_for_edges()) == [
+            ("F", "B"),
+            ("F", "G"),
+            ("A", "C"),
+            ("H", "C"),
+            ("E", "D"),
+        ]
+
+    def test_victim_follows_edge_order(self):
+        # Two disjoint cycles, {A, B} queued first on g1/g2 and {C, D}
+        # on g3/g4.  Re-creating g1 and g2 puts the {C, D} cycle first
+        # in table order, so its youngest member is the victim.
+        manager = LockManager()
+        for owner, granule in zip("ABCD", ["g1", "g2", "g3", "g4"]):
+            manager.acquire(owner, granule, LockMode.X)
+        manager.release_all("A")
+        manager.release_all("B")
+        manager.acquire("A", "g1", LockMode.X)
+        manager.acquire("B", "g2", LockMode.X)
+        manager.acquire("A", "g2", LockMode.X)
+        manager.acquire("B", "g1", LockMode.X)
+        manager.acquire("C", "g4", LockMode.X)
+        manager.acquire("D", "g3", LockMode.X)
+        assert DeadlockDetector(manager).resolve_once() == "D"
 
     def test_table_invariants_hold_through_random_workload(self):
         import random
@@ -164,7 +208,74 @@ class TestIncremental:
                 granule = rng.randrange(8)
                 mode = rng.choice([LockMode.S, LockMode.X])
                 manager.acquire(owner, granule, mode)
-            manager.table.check_invariants()
+            manager.check_invariants()
+
+
+class TestBatchedAcquire:
+    def test_grants_until_one_queues(self):
+        manager = LockManager()
+        manager.acquire("T1", "c", LockMode.X)
+        index, request = manager.acquire_from("T2", ["a", "b", "c", "d"], 0, LockMode.X)
+        assert index == 2
+        assert request.granule == "c"
+        assert request.status is RequestStatus.WAITING
+        assert manager.held_by("T2") == {"a", "b"}
+        manager.check_invariants()
+
+    def test_resumes_from_start_after_the_grant(self):
+        manager = LockManager()
+        manager.acquire("T1", "c", LockMode.X)
+        granules = ["a", "b", "c", "d"]
+        index, request = manager.acquire_from("T2", granules, 0, LockMode.X)
+        manager.release_all("T1")
+        assert request.status is RequestStatus.GRANTED
+        assert manager.acquire_from("T2", granules, index + 1, LockMode.X) == (4, None)
+        assert manager.held_by("T2") == set(granules)
+        manager.check_invariants()
+
+    def test_reports_every_grant_and_the_queue(self):
+        events = []
+        manager = LockManager(observer=lambda *event: events.append(event))
+        manager.acquire("T1", "b", LockMode.S)
+        events.clear()
+        manager.acquire_from("T2", ["a", "b"], 0, LockMode.X)
+        assert events == [
+            ("grant", "T2", "a", LockMode.X),
+            ("queue", "T2", "b", LockMode.X, 1),
+        ]
+
+
+class TestInvariantCheck:
+    def test_clean_manager_passes(self):
+        manager = LockManager()
+        manager.acquire("T1", "g", LockMode.X)
+        manager.acquire("T2", "g", LockMode.X)
+        manager.check_invariants()
+        manager.release_all("T1")
+        manager.release_all("T2")
+        manager.check_invariants()
+
+    def test_detects_held_set_drift(self):
+        manager = LockManager()
+        manager.acquire("T1", "g", LockMode.X)
+        manager._held["T1"].add("ghost")
+        with pytest.raises(AssertionError, match="held sets"):
+            manager.check_invariants()
+
+    def test_detects_stale_waiter_index(self):
+        manager = LockManager()
+        manager.acquire("T1", "g", LockMode.X)
+        manager.acquire("T2", "g", LockMode.X)
+        manager._waited.clear()
+        with pytest.raises(AssertionError, match="waiter index"):
+            manager.check_invariants()
+
+    def test_runs_the_table_checks(self):
+        manager = LockManager()
+        manager.acquire("T1", "g", LockMode.X)
+        manager.table.state("g").holders["T2"] = LockMode.X
+        with pytest.raises(AssertionError, match="incompatible holders"):
+            manager.check_invariants()
 
 
 class TestHelpers:
