@@ -2,14 +2,14 @@
 
 Runs all exhibits at a configurable horizon and writes one CSV and one
 JSON per exhibit under ``results/``, plus a combined summary JSON.
-Figures 2–4 share one configuration grid, so their sweep is executed
-once and reused.
 
-With ``--jobs N`` (N > 1) every selected exhibit is batched into ONE
-global work queue (:func:`repro.experiments.runner.run_experiments`):
-all (cell, replication) jobs across all exhibits are deduplicated by
-content address, ordered longest-first and packed onto one worker
-pool, so cores never idle at exhibit boundaries.
+Every selected exhibit is batched into ONE global work queue
+(:func:`repro.experiments.runner.run_experiments`): all (cell,
+replication) jobs across all exhibits are deduplicated by content
+address — so figures 2–4, which share one grid, simulate it once — and
+ordered longest-first, then run inline (``--jobs 0``) or packed onto
+one worker pool (``--jobs N``), so cores never idle at exhibit
+boundaries.  Either way the rows are identical.
 
 Usage::
 
@@ -24,12 +24,8 @@ import time
 from pathlib import Path
 
 from repro.experiments.figures import EXHIBITS
-from repro.experiments.runner import run_experiment, run_experiments
+from repro.experiments.runner import run_experiments
 from repro.experiments.storage import save_rows_csv, save_rows_json
-
-#: Exhibits whose sweep equals fig2's (same base, same grid): their
-#: data comes from the same runs, just different reported columns.
-SHARES_FIG2_GRID = ("fig3", "fig4")
 
 
 def parse_args(argv):
@@ -50,7 +46,7 @@ def parse_args(argv):
     )
     parser.add_argument(
         "--jobs", type=int, default=0,
-        help="worker processes per sweep (0 = inline)",
+        help="worker processes (0 = inline)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -84,8 +80,8 @@ def _write_exhibit(key, spec, result, elapsed, out_dir, summary, svg):
             "title": spec.title,
             "tmax": spec.base.tmax,
             "elapsed_seconds": round(elapsed, 1),
-            "cache_hits": result.stats.cache_hits if result.stats else None,
-            "simulated_runs": result.stats.runs if result.stats else None,
+            "cache_hits": result.stats.cache_hits,
+            "simulated_runs": result.stats.runs,
         },
     )
     series = {
@@ -104,52 +100,6 @@ def _write_exhibit(key, spec, result, elapsed, out_dir, summary, svg):
         from repro.experiments.svg import save_result_charts
 
         save_result_charts(result, str(out_dir), prefix=key)
-
-
-def _run_batched(selected, args, out_dir, summary):
-    """Run every selected exhibit through one global work queue."""
-    started = time.time()
-    try:
-        results = run_experiments(
-            [spec for _, spec in selected],
-            jobs=args.jobs,
-            cache=False if args.no_cache else None,
-            refresh=args.refresh,
-            journals=[
-                str(out_dir / ".journals" / (key + ".journal"))
-                for key, _ in selected
-            ],
-            resume=args.resume,
-            watchdog=args.watchdog,
-            drain_signals=True,
-            cell_progress=lambda done, total, info: print(
-                "\r  {} {}/{} cells [{}: {}]   ".format(
-                    info["spec"], done, total, info["source"], info["label"]
-                ),
-                end="", file=sys.stderr, flush=True,
-            ),
-        )
-    except KeyboardInterrupt:
-        print(file=sys.stderr)
-        print(
-            "interrupted; progress journalled per exhibit — rerun "
-            "with --resume to continue"
-        )
-        return 130
-    print(file=sys.stderr)
-    elapsed = time.time() - started
-    for (key, spec), result in zip(selected, results):
-        _write_exhibit(key, spec, result, elapsed, out_dir, summary, args.svg)
-        print(
-            "done {} ({})".format(key, result.stats.summary())
-        )
-    stats = results[0].stats
-    print(
-        "global queue: {} workers, occupancy {:.0%}, {:.0f}s wall".format(
-            stats.workers, stats.occupancy, elapsed
-        )
-    )
-    return 0
 
 
 def main(argv=None):
@@ -175,62 +125,50 @@ def main(argv=None):
             spec = spec.scaled(replace_sweeps={"npros": npros_grid})
         selected.append((key, spec))
 
-    if args.jobs > 1 and len(selected) > 1:
-        # Batched path: one global queue over every exhibit's cells.
-        # Exhibits sharing a grid (figs 2-4) dedupe at the cell level,
-        # so the explicit fig2 reuse below is only needed inline.
-        code = _run_batched(selected, args, out_dir, summary)
-        if code:
-            return code
-        with open(summary_path, "w") as handle:
-            json.dump(summary, handle, indent=1, sort_keys=True)
-        print("wrote {}/summary.json".format(out_dir))
-        return 0
-
-    fig2_result = None
-    for key, spec in selected:
-        started = time.time()
-        if key in SHARES_FIG2_GRID and fig2_result is not None and not only:
-            result = fig2_result
-            result = type(result)(spec, result.outcomes)
-            note = "(reused fig2 runs)"
-        else:
-            try:
-                result = run_experiment(
-                    spec,
-                    jobs=args.jobs,
-                    cache=False if args.no_cache else None,
-                    refresh=args.refresh,
-                    # One crash-safe journal per exhibit: an
-                    # interrupted regeneration resumes with --resume.
-                    journal=str(out_dir / ".journals" / (key + ".journal")),
-                    resume=args.resume,
-                    watchdog=args.watchdog,
-                    drain_signals=True,
-                    # Live per-replication progress: every resolved cell
-                    # (cache hit or finished run) updates the line, so
-                    # parallel sweeps are never silent between configs.
-                    cell_progress=lambda done, total, info, key=key: print(
-                        "\r  {} {}/{} cells [{}: {}]   ".format(
-                            key, done, total, info["source"], info["label"]
-                        ),
-                        end="", file=sys.stderr, flush=True,
-                    ),
-                )
-            except KeyboardInterrupt:
-                print(file=sys.stderr)
-                print(
-                    "interrupted during {}; progress journalled — rerun "
-                    "with --resume to continue".format(key)
-                )
-                return 130
-            print(file=sys.stderr)
-            note = "({})".format(result.stats.summary())
-        if key == "fig2":
-            fig2_result = result
-        elapsed = time.time() - started
+    started = time.time()
+    try:
+        results = run_experiments(
+            [spec for _, spec in selected],
+            jobs=args.jobs,
+            cache=False if args.no_cache else None,
+            refresh=args.refresh,
+            # One crash-safe journal per exhibit: an interrupted
+            # regeneration resumes with --resume.
+            journals=[
+                str(out_dir / ".journals" / (key + ".journal"))
+                for key, _ in selected
+            ],
+            resume=args.resume,
+            watchdog=args.watchdog,
+            drain_signals=True,
+            # Live per-replication progress: every resolved cell (cache
+            # hit or finished run) updates the line.
+            cell_progress=lambda done, total, info: print(
+                "\r  {} {}/{} cells [{}: {}]   ".format(
+                    info["spec"], done, total, info["source"], info["label"]
+                ),
+                end="", file=sys.stderr, flush=True,
+            ),
+        )
+    except KeyboardInterrupt:
+        print(file=sys.stderr)
+        print(
+            "interrupted; progress journalled per exhibit — rerun "
+            "with --resume to continue"
+        )
+        return 130
+    print(file=sys.stderr)
+    elapsed = time.time() - started
+    for (key, spec), result in zip(selected, results):
         _write_exhibit(key, spec, result, elapsed, out_dir, summary, args.svg)
-        print("done {} in {:.0f}s {}".format(key, elapsed, note))
+        print("done {} ({})".format(key, result.stats.summary()))
+    if results:
+        stats = results[0].stats
+        print(
+            "global queue: {} workers, occupancy {:.0%}, {:.0f}s wall".format(
+                stats.workers, stats.occupancy, elapsed
+            )
+        )
     with open(summary_path, "w") as handle:
         json.dump(summary, handle, indent=1, sort_keys=True)
     print("wrote {}/summary.json".format(out_dir))

@@ -26,6 +26,16 @@ from repro.experiments.figures import EXHIBITS, get_exhibit
 from repro.experiments.report import ascii_plot, format_series_table, summarize_optima
 from repro.experiments.runner import run_experiment
 from repro.experiments.storage import save_rows_csv, save_rows_json
+from repro.faults import (
+    CrashSpec,
+    FaultPlan,
+    LinkDelaySpec,
+    PartitionSpec,
+    SlowdownSpec,
+    StallSpec,
+    make_backoff_policy,
+)
+from repro.faults.backoff import POLICIES as BACKOFF_POLICIES
 
 #: Reduced grid used by ``--quick``.
 QUICK_LTOT_GRID = (1, 10, 100, 1000, 5000)
@@ -35,13 +45,112 @@ QUICK_TMAX = 400.0
 #: ``--protocol``, ``--admission`` is ``--txn-policy``.
 _FLAG_ALIASES = {"protocol": "--cc", "txn_policy": "--admission"}
 
+#: Flags several verbs take, declared once: dest -> (flag, options).
+#: A verb names the ones it takes and overrides an option only where
+#: its own differs (see :func:`_add_shared`).
+_SHARED_FLAGS = {
+    "tmax": ("--tmax", dict(type=float, default=None, help="override horizon")),
+    "replications": (
+        "--replications",
+        dict(type=int, default=1, help="replications per configuration"),
+    ),
+    "jobs": ("--jobs", dict(type=int, default=0, help="worker processes")),
+    "field": ("--field", dict(default="throughput", help="output field compared")),
+    "ltot_grid": (
+        "--ltot-grid",
+        dict(default=None, metavar="L1,L2,...", help="override the ltot sweep"),
+    ),
+    "save": ("--save", dict(default=None, metavar="PATH", help="write rows to CSV path")),
+    "json": ("--json", dict(default=None, metavar="PATH", help="write rows to a JSON file")),
+    "svg": ("--svg", dict(default=None, metavar="PATH", help="write an SVG chart")),
+    "no_cache": (
+        "--no-cache",
+        dict(
+            action="store_true",
+            help="bypass the result cache entirely (no reads, no writes)",
+        ),
+    ),
+    "cache_dir": (
+        "--cache-dir",
+        dict(
+            default=None, metavar="DIR",
+            help="result cache location (default results/.cache, or "
+            "$REPRO_CACHE_DIR)",
+        ),
+    ),
+    "journal": (
+        "--journal",
+        dict(
+            default=None, metavar="PATH",
+            help="record completed cells to this crash-safe journal",
+        ),
+    ),
+    "resume": (
+        "--resume",
+        dict(
+            action="store_true",
+            help="resume an interrupted sweep from its journal",
+        ),
+    ),
+    "metrics_port": (
+        "--metrics-port",
+        dict(
+            type=int, default=None, metavar="PORT",
+            help="serve /metrics (Prometheus text) and /metrics.json on "
+            "this port while the sweep runs (0 picks a free port)",
+        ),
+    ),
+}
+
+#: ``--json`` with an optional path: bare, it writes to stdout.
+_OPTIONAL_PATH = dict(nargs="?", const="-")
+
+#: One row per :class:`~repro.faults.FaultPlan` field: the spec class
+#: and ``(spec field, flag, default, help)`` for each of its fields.
+#: The first flag enables the source (it defaults to off) and its
+#: value is the spec's first field.  Metavar T is simulated time.
+_FAULT_SOURCES = (
+    ("crashes", CrashSpec, (
+        ("mttf", "--mttf", None, "mean time to processor failure"),
+        ("mttr", "--mttr", 10.0, "mean time to processor repair"),
+        ("first_failure_after", "--first-failure-after", 0.0,
+         "no crash before this simulation time"),
+    )),
+    ("disk_slowdowns", SlowdownSpec, (
+        ("mtbf", "--disk-mtbf", None, "mean time between disk-slowdown windows"),
+        ("duration", "--disk-duration", 10.0, "mean disk-slowdown window length"),
+        ("factor", "--disk-factor", 2.0, "disk service-time inflation inside a window"),
+    )),
+    ("lock_stalls", StallSpec, (
+        ("mtbf", "--stall-mtbf", None, "mean time between lock-manager stalls"),
+        ("duration", "--stall-duration", 5.0, "mean lock-manager stall length"),
+        ("factor", "--stall-factor", 4.0, "lock-overhead inflation during a stall"),
+    )),
+    ("partitions", PartitionSpec, (
+        ("mtbf", "--partition-mtbf", None,
+         "mean time between network partitions (needs --nnodes >= 2)"),
+        ("duration", "--partition-duration", 10.0, "mean partition length"),
+        ("first_after", "--partition-first-after", 0.0,
+         "no partition before this simulation time"),
+    )),
+    ("link_delays", LinkDelaySpec, (
+        ("mtbf", "--link-delay-mtbf", None, "mean time between link-delay windows"),
+        ("duration", "--link-delay-duration", 10.0, "mean link-delay window length"),
+        ("extra", "--link-delay-extra", 0.5, "extra per-message latency inside a window"),
+    )),
+)
+
+
+class UsageError(Exception):
+    """A flag value a verb rejects; :func:`main` exits with status 2."""
+
 
 def _parameter_names():
     """Every overridable parameter name, flag-order.
 
     ``as_dict`` omits ``txn_classes`` when empty (digest neutrality),
     so the default instance's dict misses it; append it explicitly so
-    the flag and every override-collection site still see it.
+    the flag and :func:`_overrides` still see it.
     """
     names = list(SimulationParameters().as_dict())
     names.append("txn_classes")
@@ -52,8 +161,8 @@ def _add_parameter_flags(parser, skip=()):
     """Add one ``--<name>`` option per simulation parameter.
 
     Every subcommand that accepts a full configuration (simulate,
-    trace, faults, tune, sensitivity) shares this generator, so new
-    parameters and policy aliases appear everywhere at once.
+    trace, predict, faults, tune, sensitivity) shares this generator,
+    so new parameters and policy aliases appear everywhere at once.
     """
     defaults = SimulationParameters().as_dict()
     defaults.setdefault("txn_classes", "")
@@ -81,6 +190,29 @@ def _add_parameter_flags(parser, skip=()):
         )
 
 
+def _add_shared(parser, *names, **overrides):
+    """Add the :data:`_SHARED_FLAGS` *names* to *parser*.
+
+    Each keyword adds one more shared flag, updating its options with
+    the given dict (a verb-specific default, help text or nargs).
+    """
+    for name in names + tuple(overrides):
+        flag, options = _SHARED_FLAGS[name]
+        parser.add_argument(flag, **dict(options, **overrides.get(name, {})))
+
+
+def _add_fault_flags(parser):
+    """Add every :data:`_FAULT_SOURCES` flag to *parser*."""
+    for _, _, fields in _FAULT_SOURCES:
+        for index, (field, flag, default, help_text) in enumerate(fields):
+            parser.add_argument(
+                flag, type=float, default=default,
+                metavar="F" if field == "factor" else "T",
+                help=help_text
+                + (" (enables this fault source)" if index == 0 else " (default %(default)s)"),
+            )
+
+
 def build_parser():
     """The argparse parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -90,11 +222,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list reproducible exhibits")
+    def verb(name, handler, help_text):
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
+        return command
 
-    policies = sub.add_parser(
-        "policies",
-        help="list the pluggable policy layers and registered names",
+    verb("list", _command_list, "list reproducible exhibits")
+
+    policies = verb(
+        "policies", _command_policies,
+        "list the pluggable policy layers and registered names",
     )
     policies.add_argument(
         "layer", nargs="?", default=None,
@@ -102,45 +239,30 @@ def build_parser():
         "placement, partitioning, conflict)",
     )
 
-    run = sub.add_parser("run", help="run one exhibit's full sweep")
+    run = verb("run", _command_run, "run one exhibit's full sweep")
     run.add_argument("exhibit", help="table1, fig2..fig12, 2..12, or an ablation key")
-    run.add_argument("--tmax", type=float, default=None, help="override horizon")
-    run.add_argument(
-        "--replications", type=int, default=1, help="replications per point"
+    _add_shared(
+        run, "tmax", "replications", "jobs", "save", "json", "no_cache",
+        "cache_dir", "resume",
+        svg=dict(metavar="DIR", help="write one SVG chart per y field into DIR"),
+        journal=dict(
+            help="record completed cells to this crash-safe journal "
+            "(default with --resume: <cache>/journals/<exhibit>.journal)",
+        ),
+        metrics_port=dict(
+            help="also serve /metrics (Prometheus text) and /metrics.json "
+            "on this port while the sweep runs (implies --metrics; 0 "
+            "picks a free port)",
+        ),
     )
-    run.add_argument("--jobs", type=int, default=0, help="worker processes")
     run.add_argument(
         "--quick", action="store_true", help="small grid and short horizon"
     )
     run.add_argument("--plot", action="store_true", help="ASCII plot per y field")
-    run.add_argument("--save", default=None, help="write rows to CSV path")
-    run.add_argument("--json", default=None, help="write rows to JSON path")
-    run.add_argument(
-        "--svg", default=None, metavar="DIR",
-        help="write one SVG chart per y field into DIR",
-    )
     run.add_argument("--seed", type=int, default=None, help="override master seed")
-    run.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the result cache entirely (no reads, no writes)",
-    )
     run.add_argument(
         "--refresh", action="store_true",
         help="ignore cached results, re-simulate and overwrite them",
-    )
-    run.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result cache location (default results/.cache, or "
-        "$REPRO_CACHE_DIR)",
-    )
-    run.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="record completed cells to this crash-safe journal "
-        "(default with --resume: <cache>/journals/<exhibit>.journal)",
-    )
-    run.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted sweep from its journal + cache",
     )
     run.add_argument(
         "--watchdog", type=float, default=None, metavar="SECONDS",
@@ -164,20 +286,15 @@ def build_parser():
         "causes, sweep progress); results stay bit-identical",
     )
     run.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="also serve /metrics (Prometheus text) and /metrics.json "
-        "on this port while the sweep runs (implies --metrics; 0 "
-        "picks a free port)",
-    )
-    run.add_argument(
         "--metrics-snapshot", default=None, metavar="PATH",
-        help="periodic JSON metrics snapshot file (default with "
-        "--journal: <journal>.metrics.json — where 'top' looks)",
+        help="periodic JSON metrics snapshot file (implies --metrics; "
+        "default with --journal: <journal>.metrics.json — where 'top' "
+        "looks)",
     )
 
-    top = sub.add_parser(
-        "top",
-        help="live dashboard for a running journalled sweep "
+    top = verb(
+        "top", _command_top,
+        "live dashboard for a running journalled sweep "
         "(progress, ev/s, hot granules, ETA)",
     )
     top.add_argument("journal", help="the sweep's --journal path to tail")
@@ -202,37 +319,29 @@ def build_parser():
         help="keep refreshing after the journal records a clean finish",
     )
 
-    predict = sub.add_parser(
-        "predict",
-        help="analytic prediction of one configuration (no simulation)",
+    predict = verb(
+        "predict", _command_predict,
+        "analytic prediction of one configuration (no simulation)",
     )
-    predict.add_argument(
-        "--ltot-grid", default=None, metavar="L1,L2,...",
-        help="predict a whole granularity curve instead of one cell",
-    )
-    predict.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the prediction rows to a JSON file",
+    _add_shared(
+        predict, "json",
+        ltot_grid=dict(help="predict a whole granularity curve instead of one cell"),
     )
     _add_parameter_flags(predict)
 
-    crossval = sub.add_parser(
-        "crossval",
-        help="validate the analytic model against the simulator",
+    crossval = verb(
+        "crossval", _command_crossval,
+        "validate the analytic model against the simulator",
     )
     crossval.add_argument(
         "exhibit", nargs="?", default="ablation_analytic",
         help="exhibit grid to validate on (default ablation_analytic; "
         "use fig2 for the thorough run)",
     )
-    crossval.add_argument("--tmax", type=float, default=None)
-    crossval.add_argument(
-        "--replications", type=int, default=1,
-        help="simulation replications per configuration",
-    )
-    crossval.add_argument("--jobs", type=int, default=0)
-    crossval.add_argument(
-        "--field", default="throughput", help="output field compared"
+    _add_shared(
+        crossval, "tmax", "replications", "jobs", "field", "ltot_grid",
+        "json", "no_cache", "cache_dir",
+        svg=dict(help="write the sim-vs-analytic overlay chart"),
     )
     crossval.add_argument(
         "--cc", dest="protocol", default=None,
@@ -241,11 +350,7 @@ def build_parser():
     )
     crossval.add_argument(
         "--npros-grid", default=None, metavar="N1,N2,...",
-        help="override the spec's npros sweep",
-    )
-    crossval.add_argument(
-        "--ltot-grid", default=None, metavar="L1,L2,...",
-        help="override the spec's ltot sweep",
+        help="override the spec's npros sweep (the exhibit must have one)",
     )
     crossval.add_argument(
         "--max-mean-error", type=float, default=None, metavar="FRAC",
@@ -257,96 +362,28 @@ def build_parser():
         help="flag cells with fewer completed transactions as "
         "low-sample and exclude them from the mean (default 25)",
     )
-    crossval.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the per-cell comparison to a JSON file",
-    )
-    crossval.add_argument(
-        "--svg", default=None, metavar="PATH",
-        help="write the sim-vs-analytic overlay chart",
-    )
-    crossval.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the result cache entirely",
-    )
-    crossval.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result cache location",
-    )
 
-    faults = sub.add_parser(
-        "faults",
-        help="availability-vs-granularity sweep under injected faults",
+    faults = verb(
+        "faults", _command_faults,
+        "availability-vs-granularity sweep under injected faults",
     )
-    faults.add_argument(
-        "--ltot-grid", default="10,100,1000", metavar="L1,L2,...",
-        help="lock-count grid to sweep (default 10,100,1000)",
+    _add_shared(
+        faults, "jobs", "save", "journal", "resume", "metrics_port",
+        ltot_grid=dict(
+            default="10,100,1000",
+            help="lock-count grid to sweep (default %(default)s)",
+        ),
+        replications=dict(default=3),
+        json=dict(
+            _OPTIONAL_PATH,
+            help="emit the table as JSON (to PATH, or stdout when the "
+            "flag is given bare) — same shape as 'report --json': a "
+            "document with the plan, its digest and the rows",
+        ),
     )
+    _add_fault_flags(faults)
     faults.add_argument(
-        "--mttf", type=float, default=None, metavar="T",
-        help="mean time to processor failure (enables crash injection)",
-    )
-    faults.add_argument(
-        "--mttr", type=float, default=10.0, metavar="T",
-        help="mean time to processor repair (default 10)",
-    )
-    faults.add_argument(
-        "--first-failure-after", type=float, default=0.0, metavar="T",
-        help="no crash before this simulation time (default 0)",
-    )
-    faults.add_argument(
-        "--disk-mtbf", type=float, default=None, metavar="T",
-        help="mean time between disk-slowdown windows (enables them)",
-    )
-    faults.add_argument(
-        "--disk-duration", type=float, default=10.0, metavar="T",
-        help="mean disk-slowdown window length (default 10)",
-    )
-    faults.add_argument(
-        "--disk-factor", type=float, default=2.0, metavar="F",
-        help="disk service-time inflation inside a window (default 2)",
-    )
-    faults.add_argument(
-        "--stall-mtbf", type=float, default=None, metavar="T",
-        help="mean time between lock-manager stalls (enables them)",
-    )
-    faults.add_argument(
-        "--stall-duration", type=float, default=5.0, metavar="T",
-        help="mean lock-manager stall length (default 5)",
-    )
-    faults.add_argument(
-        "--stall-factor", type=float, default=4.0, metavar="F",
-        help="lock-overhead inflation during a stall (default 4)",
-    )
-    faults.add_argument(
-        "--partition-mtbf", type=float, default=None, metavar="T",
-        help="mean time between network partitions (enables them; "
-        "needs --nnodes >= 2)",
-    )
-    faults.add_argument(
-        "--partition-duration", type=float, default=10.0, metavar="T",
-        help="mean partition length (default 10)",
-    )
-    faults.add_argument(
-        "--partition-first-after", type=float, default=0.0, metavar="T",
-        help="no partition before this simulation time (default 0)",
-    )
-    faults.add_argument(
-        "--link-delay-mtbf", type=float, default=None, metavar="T",
-        help="mean time between link-delay windows (enables them)",
-    )
-    faults.add_argument(
-        "--link-delay-duration", type=float, default=10.0, metavar="T",
-        help="mean link-delay window length (default 10)",
-    )
-    faults.add_argument(
-        "--link-delay-extra", type=float, default=0.5, metavar="T",
-        help="extra per-message latency inside a window (default 0.5)",
-    )
-    from repro.faults.backoff import POLICIES as _BACKOFF
-
-    faults.add_argument(
-        "--backoff", default="uniform", choices=_BACKOFF,
+        "--backoff", default="uniform", choices=BACKOFF_POLICIES,
         help="retry backoff policy (default uniform)",
     )
     faults.add_argument(
@@ -358,64 +395,36 @@ def build_parser():
         help="also sweep commit protocols (e.g. 2pc,primary-copy; "
         "needs --nnodes >= 2) — the availability-under-partition table",
     )
-    faults.add_argument(
-        "--replications", type=int, default=3,
-        help="replications per grid point (default 3)",
-    )
-    faults.add_argument("--jobs", type=int, default=0, help="worker processes")
-    faults.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="record completed cells (with their inline results) to "
-        "this crash-safe journal",
-    )
-    faults.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted faulted sweep from its journal "
-        "(results are read back inline; bit-identical)",
-    )
-    faults.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve /metrics (Prometheus text) and /metrics.json on "
-        "this port while the sweep runs (0 picks a free port)",
-    )
-    faults.add_argument("--save", default=None, help="write rows to CSV path")
-    faults.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="emit the table as JSON (to PATH, or stdout when the "
-        "flag is given bare) — same shape as 'report --json': a "
-        "document with the plan, its digest and the rows",
-    )
     _add_parameter_flags(faults, skip=("ltot",))
 
-    one = sub.add_parser("simulate", help="run a single configuration")
+    one = verb("simulate", _command_simulate, "run a single configuration")
     _add_parameter_flags(one)
     one.add_argument(
         "--trace", type=int, default=0, metavar="N",
         help="print the first N transaction lifecycle events",
     )
 
-    tune = sub.add_parser(
-        "tune", help="adaptively search for the optimal lock granularity"
+    tune = verb(
+        "tune", _command_tune,
+        "adaptively search for the optimal lock granularity",
     )
     tune.add_argument("--objective", default="throughput")
     tune.add_argument("--minimize", action="store_true")
-    tune.add_argument("--replications", type=int, default=2)
-    tune.add_argument("--tmax", type=float, default=400.0)
+    _add_shared(tune, replications=dict(default=2), tmax=dict(default=400.0))
     _add_parameter_flags(tune, skip=("ltot", "tmax"))
 
-    sensitivity = sub.add_parser(
-        "sensitivity",
-        help="elasticity of an output w.r.t. each numeric parameter",
+    sensitivity = verb(
+        "sensitivity", _command_sensitivity,
+        "elasticity of an output w.r.t. each numeric parameter",
     )
     sensitivity.add_argument("--output", default="throughput")
     sensitivity.add_argument("--delta", type=float, default=0.25)
-    sensitivity.add_argument("--replications", type=int, default=2)
-    sensitivity.add_argument("--tmax", type=float, default=300.0)
+    _add_shared(sensitivity, replications=dict(default=2), tmax=dict(default=300.0))
     _add_parameter_flags(sensitivity, skip=("tmax",))
 
-    trace = sub.add_parser(
-        "trace",
-        help="run one configuration with full telemetry exported to JSONL",
+    trace = verb(
+        "trace", _command_trace,
+        "run one configuration with full telemetry exported to JSONL",
     )
     trace.add_argument(
         "--out", default="telemetry.jsonl", metavar="PATH",
@@ -431,37 +440,119 @@ def build_parser():
     )
     _add_parameter_flags(trace)
 
-    report = sub.add_parser(
-        "report", help="summarise a telemetry JSONL file"
-    )
+    report = verb("report", _command_report, "summarise a telemetry JSONL file")
     report.add_argument("telemetry", help="telemetry JSONL path (from 'trace')")
     report.add_argument(
         "--top", type=int, default=10,
         help="rows in the top-blockers / hot-granules tables",
     )
-    report.add_argument(
-        "--svg", default=None, metavar="PATH",
-        help="also write the utilisation timeline as an SVG chart",
-    )
-    report.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="emit the report as JSON instead of text (to PATH, or "
-        "stdout when the flag is given bare)",
+    _add_shared(
+        report,
+        svg=dict(help="also write the utilisation timeline as an SVG chart"),
+        json=dict(
+            _OPTIONAL_PATH,
+            help="emit the report as JSON instead of text (to PATH, or "
+            "stdout when the flag is given bare)",
+        ),
     )
 
-    compare = sub.add_parser(
-        "compare", help="diff two result CSVs (e.g. before/after a change)"
+    compare = verb(
+        "compare", _command_compare,
+        "diff two result CSVs (e.g. before/after a change)",
     )
     compare.add_argument("baseline", help="baseline CSV path")
     compare.add_argument("candidate", help="candidate CSV path")
-    compare.add_argument(
-        "--field", default="throughput", help="output field to compare"
-    )
+    _add_shared(compare, "field")
     compare.add_argument(
         "--threshold", type=float, default=0.05,
         help="relative change flagged as a regression/improvement",
     )
     return parser
+
+
+def _overrides(args, skip=()):
+    """The simulation parameters given on the command line, by name."""
+    return {
+        name: getattr(args, name)
+        for name in _parameter_names()
+        if name not in skip and getattr(args, name, None) is not None
+    }
+
+
+def _grid(args, name, kind=int):
+    """The comma list of ``--<name>`` as a tuple of *kind* values.
+
+    Parsed by the verb rather than as an argparse ``type``, so the
+    namespace keeps the flag's text; a malformed or empty list is a
+    :class:`UsageError` naming the flag.
+    """
+    text = getattr(args, name)
+    try:
+        values = tuple(kind(v.strip()) for v in text.split(",") if v.strip())
+    except ValueError:
+        values = ()
+    if not values:
+        raise UsageError(
+            "--{}: expected a comma-separated list of {} values, got {!r}".format(
+                name.replace("_", "-"), kind.__name__, text
+            )
+        )
+    return values
+
+
+def _cache_arg(args):
+    """The runner's ``cache`` argument for ``--no-cache``/``--cache-dir``."""
+    if args.no_cache:
+        return False
+    if args.cache_dir:
+        from repro.experiments.cache import ResultCache
+
+        return ResultCache(args.cache_dir)
+    return None  # default on-disk cache (REPRO_CACHE=0 disables)
+
+
+def _sweep(args, spec, metrics, interrupted, **options):
+    """Run *spec* for ``run`` or ``faults``; ``None`` when interrupted.
+
+    Serves *metrics* on ``--metrics-port`` while the sweep runs, turns
+    Ctrl-C into the *interrupted* lines (the caller exits 130), and
+    reports the cells resumed from the journal.
+    """
+    server = None
+    if args.metrics_port is not None:
+        from repro.obs.exporters import MetricsServer
+
+        server = MetricsServer(metrics, port=args.metrics_port)
+        server.start()
+        print(
+            "Serving metrics at http://{}:{}/metrics (and /metrics.json)".format(
+                server.host, server.port
+            )
+        )
+    try:
+        result = run_experiment(
+            spec,
+            replications=args.replications,
+            jobs=args.jobs,
+            resume=args.resume,
+            drain_signals=True,
+            metrics=metrics,
+            **options
+        )
+    except KeyboardInterrupt:
+        sys.stderr.write("\n")
+        print("\n".join(interrupted))
+        return None
+    finally:
+        if server is not None:
+            server.stop()
+    if result.stats.resumed:
+        print(
+            "Resumed {} previously completed cells from the journal.".format(
+                result.stats.resumed
+            )
+        )
+    return result
 
 
 def _command_list(_args):
@@ -543,14 +634,6 @@ def _command_run(args):
         if done == of:
             sys.stderr.write("\n")
 
-    if args.no_cache:
-        cache = False
-    elif args.cache_dir:
-        from repro.experiments.cache import ResultCache
-
-        cache = ResultCache(args.cache_dir)
-    else:
-        cache = None  # default on-disk cache (REPRO_CACHE=0 disables)
     journal = args.journal
     if journal is None and args.resume:
         import os
@@ -563,62 +646,38 @@ def _command_run(args):
     # Live metrics are purely additive: the registry never schedules
     # events or draws randomness, so --metrics cannot change results.
     metrics = None
-    metrics_server = None
     metrics_snapshot = args.metrics_snapshot
-    if args.metrics or args.metrics_port is not None:
-        from repro.obs.exporters import MetricsServer
+    if args.metrics or args.metrics_port is not None or metrics_snapshot is not None:
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.top import default_snapshot_path
 
         metrics = MetricsRegistry()
         if metrics_snapshot is None and journal is not None:
             metrics_snapshot = default_snapshot_path(journal)
-        if args.metrics_port is not None:
-            metrics_server = MetricsServer(metrics, port=args.metrics_port)
-            metrics_server.start()
-            print(
-                "Serving metrics at http://{}:{}/metrics "
-                "(and /metrics.json)".format(
-                    metrics_server.host, metrics_server.port
-                )
-            )
         if metrics_snapshot is not None:
             print("Metrics snapshots -> {}".format(metrics_snapshot))
-    try:
-        result = run_experiment(
-            spec,
-            replications=args.replications,
-            jobs=args.jobs,
-            cell_progress=cell_progress,
-            cache=cache,
-            refresh=args.refresh,
-            journal=journal,
-            resume=args.resume,
-            watchdog=args.watchdog,
-            watchdog_retries=args.watchdog_retries,
-            accelerator=args.accelerator,
-            drain_signals=True,
-            metrics=metrics,
-            metrics_snapshot=metrics_snapshot,
-        )
-    except KeyboardInterrupt:
-        sys.stderr.write("\n")
-        print("Interrupted; progress drained to the journal and cache.")
-        if journal is not None:
-            print(
-                "Resume with: repro-locking run {} --resume --journal {}".format(
-                    args.exhibit, journal
-                )
+    result = _sweep(
+        args, spec, metrics,
+        (
+            "Interrupted; progress drained to the journal and cache.",
+            "Resume with: repro-locking run {} --resume --journal {}".format(
+                args.exhibit, journal
             )
-        else:
-            print(
-                "Re-running the same command will reuse cached cells; "
-                "pass --journal/--resume for journalled progress."
-            )
+            if journal is not None
+            else "Re-running the same command will reuse cached cells; "
+            "pass --journal/--resume for journalled progress.",
+        ),
+        cell_progress=cell_progress,
+        cache=_cache_arg(args),
+        refresh=args.refresh,
+        journal=journal,
+        watchdog=args.watchdog,
+        watchdog_retries=args.watchdog_retries,
+        accelerator=args.accelerator,
+        metrics_snapshot=metrics_snapshot,
+    )
+    if result is None:
         return 130
-    finally:
-        if metrics_server is not None:
-            metrics_server.stop()
     print(result.stats.summary())
     if metrics is not None:
         from repro.obs.metrics import summarize_snapshot
@@ -647,12 +706,6 @@ def _command_run(args):
     note = accelerator_note(result.stats)
     if note:
         print(note)
-    if result.stats.resumed:
-        print(
-            "Resumed {} previously completed cells from the journal.".format(
-                result.stats.resumed
-            )
-        )
     if result.stats.watchdog_restarts:
         print(
             "Watchdog killed and retried {} stalled cells.".format(
@@ -693,15 +746,9 @@ def _command_predict(args):
     """Analytic prediction(s) — milliseconds, no simulation."""
     from repro.analytic.mva import predict
 
-    overrides = {
-        name: getattr(args, name)
-        for name in _parameter_names()
-        if getattr(args, name, None) is not None
-    }
-    base = SimulationParameters(**overrides)
+    base = SimulationParameters(**_overrides(args))
     if args.ltot_grid:
-        ltots = [int(v) for v in args.ltot_grid.split(",") if v.strip()]
-        configs = [base.replace(ltot=ltot) for ltot in ltots]
+        configs = [base.replace(ltot=ltot) for ltot in _grid(args, "ltot_grid")]
     else:
         configs = [base]
     fields = (
@@ -758,37 +805,25 @@ def _command_crossval(args):
     )
 
     spec = get_exhibit(args.exhibit)
-    base_changes = {}
+    changes = {}
     if args.protocol:
         from repro.policies import registry
 
-        base_changes["protocol"] = args.protocol
+        changes["protocol"] = args.protocol
         if getattr(registry.resolve("cc", args.protocol), "needs_granules", False):
-            base_changes["conflict_engine"] = "explicit"
-    replace_sweeps = {}
-    if args.npros_grid and "npros" in spec.sweeps:
-        replace_sweeps["npros"] = tuple(
-            int(v) for v in args.npros_grid.split(",") if v.strip()
-        )
-    if args.tmax is not None or base_changes or replace_sweeps or args.ltot_grid:
-        spec = spec.scaled(
-            tmax=args.tmax,
-            ltot_grid=(
-                tuple(int(v) for v in args.ltot_grid.split(",") if v.strip())
-                if args.ltot_grid
-                else None
-            ),
-            replace_sweeps=replace_sweeps or None,
-            **base_changes
-        )
-    if args.no_cache:
-        cache = False
-    elif args.cache_dir:
-        from repro.experiments.cache import ResultCache
-
-        cache = ResultCache(args.cache_dir)
-    else:
-        cache = None
+            changes["conflict_engine"] = "explicit"
+    if args.npros_grid:
+        if "npros" not in spec.sweeps:
+            raise UsageError(
+                "--npros-grid: exhibit {} has no npros sweep to override".format(
+                    spec.key
+                )
+            )
+        changes["replace_sweeps"] = {"npros": _grid(args, "npros_grid")}
+    if args.ltot_grid:
+        changes["ltot_grid"] = _grid(args, "ltot_grid")
+    if args.tmax is not None or changes:
+        spec = spec.scaled(tmax=args.tmax, **changes)
     print(
         "Cross-validating {} ({} configurations, tmax={}) against the "
         "analytic model...".format(
@@ -805,7 +840,7 @@ def _command_crossval(args):
             else MIN_COMPLETIONS
         ),
         jobs=args.jobs,
-        cache=cache,
+        cache=_cache_arg(args),
     )
     print(crossval.format())
     if args.json:
@@ -831,6 +866,19 @@ def _command_crossval(args):
     return 0
 
 
+def _fault_plan(args):
+    """The :class:`~repro.faults.FaultPlan` the fault-source flags describe."""
+    sources = {}
+    for plan_field, spec_class, fields in _FAULT_SOURCES:
+        values = {
+            field: getattr(args, flag[2:].replace("-", "_"))
+            for field, flag, _, _ in fields
+        }
+        enabled = values[fields[0][0]] is not None
+        sources[plan_field] = (spec_class(**values),) if enabled else ()
+    return FaultPlan(seed=args.fault_seed, **sources)
+
+
 def _command_faults(args):
     """Availability-vs-granularity sweep under an injected fault plan.
 
@@ -845,102 +893,29 @@ def _command_faults(args):
     from dataclasses import asdict
 
     from repro.experiments.config import ExperimentSpec
-    from repro.faults import (
-        CrashSpec,
-        FaultPlan,
-        LinkDelaySpec,
-        PartitionSpec,
-        SlowdownSpec,
-        StallSpec,
-        make_backoff_policy,
-    )
 
-    crashes = ()
-    if args.mttf is not None:
-        crashes = (
-            CrashSpec(
-                mttf=args.mttf,
-                mttr=args.mttr,
-                first_failure_after=args.first_failure_after,
-            ),
-        )
-    slowdowns = ()
-    if args.disk_mtbf is not None:
-        slowdowns = (
-            SlowdownSpec(
-                mtbf=args.disk_mtbf,
-                duration=args.disk_duration,
-                factor=args.disk_factor,
-            ),
-        )
-    stalls = ()
-    if args.stall_mtbf is not None:
-        stalls = (
-            StallSpec(
-                mtbf=args.stall_mtbf,
-                duration=args.stall_duration,
-                factor=args.stall_factor,
-            ),
-        )
-    partitions = ()
-    if args.partition_mtbf is not None:
-        partitions = (
-            PartitionSpec(
-                mtbf=args.partition_mtbf,
-                duration=args.partition_duration,
-                first_after=args.partition_first_after,
-            ),
-        )
-    link_delays = ()
-    if args.link_delay_mtbf is not None:
-        link_delays = (
-            LinkDelaySpec(
-                mtbf=args.link_delay_mtbf,
-                duration=args.link_delay_duration,
-                extra=args.link_delay_extra,
-            ),
-        )
-    plan = FaultPlan(
-        crashes=crashes,
-        disk_slowdowns=slowdowns,
-        lock_stalls=stalls,
-        partitions=partitions,
-        link_delays=link_delays,
-        seed=args.fault_seed,
-    )
-    if not plan.enabled():
-        print(
-            "No fault source enabled (pass --mttf, --disk-mtbf, "
-            "--stall-mtbf, --partition-mtbf or --link-delay-mtbf); "
-            "running fault-free baseline."
-        )
-    backoff = make_backoff_policy(args.backoff)
-    overrides = {
-        name: getattr(args, name)
-        for name in _parameter_names()
-        if name != "ltot" and getattr(args, name, None) is not None
-    }
-    ltots = tuple(int(v) for v in args.ltot_grid.split(",") if v.strip())
+    overrides = _overrides(args, skip=("ltot",))
     sweeps = {}
     series_fields = ()
     if args.commit_grid:
-        protocols = tuple(
-            v.strip() for v in args.commit_grid.split(",") if v.strip()
-        )
+        protocols = _grid(args, "commit_grid", kind=str)
         nnodes = overrides.get("nnodes", SimulationParameters().nnodes)
         if nnodes < 2 and any(p != "local" for p in protocols):
-            print(
-                "error: --commit-grid with distributed protocols needs "
-                "--nnodes >= 2",
-                file=sys.stderr,
+            raise UsageError(
+                "--commit-grid with distributed protocols needs --nnodes >= 2"
             )
-            return 2
         sweeps["commit_protocol"] = protocols
         series_fields = ("commit_protocol",)
-    sweeps["ltot"] = ltots
-    distributed = (
-        overrides.get("nnodes", 1) > 1 or bool(args.commit_grid)
-    )
+    sweeps["ltot"] = ltots = _grid(args, "ltot_grid")
+    plan = _fault_plan(args)
+    if not plan.enabled():
+        enablers = [fields[0][1] for _, _, fields in _FAULT_SOURCES]
+        print(
+            "No fault source enabled (pass {} or {}); running fault-free "
+            "baseline.".format(", ".join(enablers[:-1]), enablers[-1])
+        )
+    backoff = make_backoff_policy(args.backoff)
+    distributed = overrides.get("nnodes", 1) > 1 or bool(args.commit_grid)
     fields = (
         "throughput",
         "availability",
@@ -967,8 +942,7 @@ def _command_faults(args):
         )
         configs = spec.configurations()
     except ValueError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     print(
         "Faulted sweep: ltot in {}, {} replications, backoff={}{}".format(
             list(ltots), args.replications, args.backoff,
@@ -977,49 +951,25 @@ def _command_faults(args):
         )
     )
     metrics = None
-    metrics_server = None
     if args.metrics_port is not None:
-        from repro.obs.exporters import MetricsServer
         from repro.obs.metrics import MetricsRegistry
 
         metrics = MetricsRegistry()
-        metrics_server = MetricsServer(metrics, port=args.metrics_port)
-        metrics_server.start()
-        print(
-            "Serving metrics at http://{}:{}/metrics "
-            "(and /metrics.json)".format(
-                metrics_server.host, metrics_server.port
-            )
+    interrupted = ["Interrupted; progress drained to the journal."]
+    if args.journal is not None:
+        interrupted.append(
+            "Resume by re-running the same command with --resume "
+            "--journal {}".format(args.journal)
         )
-    try:
-        result = run_experiment(
-            spec,
-            replications=args.replications,
-            jobs=args.jobs,
-            cache=False,
-            journal=args.journal,
-            resume=args.resume,
-            drain_signals=True,
-            fault_plan=plan,
-            backoff=backoff,
-            metrics=metrics,
-        )
-    except KeyboardInterrupt:
-        print("Interrupted; progress drained to the journal.")
-        if args.journal is not None:
-            print(
-                "Resume by re-running the same command with --resume "
-                "--journal {}".format(args.journal)
-            )
+    result = _sweep(
+        args, spec, metrics, interrupted,
+        cache=False,
+        journal=args.journal,
+        fault_plan=plan,
+        backoff=backoff,
+    )
+    if result is None:
         return 130
-    finally:
-        if metrics_server is not None:
-            metrics_server.stop()
-    if result.stats.resumed:
-        print(
-            "Resumed {} previously completed cells from the "
-            "journal.".format(result.stats.resumed)
-        )
     label_width = max(
         (len(spec.series_label(c)) for c in configs), default=0
     )
@@ -1068,11 +1018,7 @@ def _command_faults(args):
 
 
 def _command_simulate(args):
-    overrides = {
-        name: getattr(args, name)
-        for name in _parameter_names()
-        if getattr(args, name) is not None
-    }
+    overrides = _overrides(args)
     if args.trace:
         from repro.core.model import LockingGranularityModel
         from repro.des.trace import Trace
@@ -1103,13 +1049,7 @@ def _command_simulate(args):
 def _command_tune(args):
     from repro.experiments.search import find_optimal_ltot
 
-    overrides = {
-        name: getattr(args, name)
-        for name in _parameter_names()
-        if hasattr(args, name) and getattr(args, name) is not None
-    }
-    overrides["tmax"] = args.tmax
-    params = SimulationParameters(**overrides)
+    params = SimulationParameters(**_overrides(args))
     outcome = find_optimal_ltot(
         params,
         objective=args.objective,
@@ -1132,13 +1072,7 @@ def _command_sensitivity(args):
         format_sensitivities,
     )
 
-    overrides = {
-        name: getattr(args, name)
-        for name in _parameter_names()
-        if hasattr(args, name) and getattr(args, name) is not None
-    }
-    overrides["tmax"] = args.tmax
-    params = SimulationParameters(**overrides)
+    params = SimulationParameters(**_overrides(args))
     results = analyze_sensitivity(
         params,
         output=args.output,
@@ -1158,12 +1092,7 @@ def _command_trace(args):
     from repro.core.model import MODEL_VERSION, LockingGranularityModel
     from repro.obs import JsonlTraceSink, Telemetry, build_manifest, write_manifest
 
-    overrides = {
-        name: getattr(args, name)
-        for name in _parameter_names()
-        if getattr(args, name) is not None
-    }
-    params = SimulationParameters(**overrides)
+    params = SimulationParameters(**_overrides(args))
     sink = JsonlTraceSink(
         args.out,
         params=params.as_dict(),
@@ -1285,52 +1214,24 @@ def _command_compare(args):
 def main(argv=None):
     """Entry point of the ``repro-locking`` console script.
 
-    An unknown policy name (``--cc wond-wait``) exits with status 2
-    and the registry's close-match suggestions instead of a traceback.
+    An unknown policy name (``--cc wond-wait``) or a flag value the
+    verb rejects (``--ltot-grid 1,x``) exits with status 2 and a
+    one-line error instead of a traceback.
     """
     from repro.policies import UnknownPolicyError
 
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
-    except UnknownPolicyError as exc:
+        return args.handler(args)
+    except (UnknownPolicyError, UsageError) as exc:
         print("error: {}".format(exc), file=sys.stderr)
-        print(
-            "Run 'repro-locking policies' to list every registered "
-            "policy.",
-            file=sys.stderr,
-        )
+        if isinstance(exc, UnknownPolicyError):
+            print(
+                "Run 'repro-locking policies' to list every registered "
+                "policy.",
+                file=sys.stderr,
+            )
         return 2
-
-
-def _dispatch(args):
-    if args.command == "list":
-        return _command_list(args)
-    if args.command == "policies":
-        return _command_policies(args)
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "predict":
-        return _command_predict(args)
-    if args.command == "crossval":
-        return _command_crossval(args)
-    if args.command == "faults":
-        return _command_faults(args)
-    if args.command == "simulate":
-        return _command_simulate(args)
-    if args.command == "tune":
-        return _command_tune(args)
-    if args.command == "sensitivity":
-        return _command_sensitivity(args)
-    if args.command == "trace":
-        return _command_trace(args)
-    if args.command == "report":
-        return _command_report(args)
-    if args.command == "top":
-        return _command_top(args)
-    if args.command == "compare":
-        return _command_compare(args)
-    raise AssertionError("unreachable: {!r}".format(args.command))
 
 
 if __name__ == "__main__":

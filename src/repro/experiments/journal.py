@@ -35,6 +35,15 @@ import json
 import os
 
 
+def _parse(line):
+    """One journal line as a dict; ``{}`` for a torn or foreign line."""
+    try:
+        entry = json.loads(line)
+    except ValueError:
+        return {}
+    return entry if isinstance(entry, dict) else {}
+
+
 def sweep_id(cell_keys):
     """Stable identity of a sweep: hash of its ordered cell addresses."""
     digest = hashlib.sha256("\n".join(cell_keys).encode("ascii"))
@@ -68,29 +77,7 @@ class SweepJournal:
         unparsable header yields an empty set; unparsable body lines
         (torn tail writes) are skipped individually.
         """
-        try:
-            with open(self.path) as handle:
-                lines = handle.read().splitlines()
-        except OSError:
-            return set()
-        if not lines:
-            return set()
-        try:
-            header = json.loads(lines[0])
-            recorded = header.get("sweep")
-        except ValueError:
-            return set()
-        if recorded != sweep:
-            return set()
-        done = set()
-        for line in lines[1:]:
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn write at the crash point
-            if isinstance(entry, dict) and "done" in entry:
-                done.add(entry["done"])
-        return done
+        return {entry["done"] for entry in (self._read(sweep) or ()) if "done" in entry}
 
     def load_results(self, sweep):
         """Inline result documents journalled for sweep id *sweep*.
@@ -99,45 +86,31 @@ class SweepJournal:
         that carried a ``result`` payload (faulted sweeps).  Same
         tolerance rules as :meth:`load`.
         """
-        try:
-            with open(self.path) as handle:
-                lines = handle.read().splitlines()
-        except OSError:
-            return {}
-        if not lines:
-            return {}
-        try:
-            if json.loads(lines[0]).get("sweep") != sweep:
-                return {}
-        except ValueError:
-            return {}
-        results = {}
-        for line in lines[1:]:
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn write at the crash point
-            if isinstance(entry, dict) and "done" in entry and "result" in entry:
-                results[entry["done"]] = entry["result"]
-        return results
+        return {
+            entry["done"]: entry["result"]
+            for entry in (self._read(sweep) or ())
+            if "done" in entry and "result" in entry
+        }
 
     def finished(self, sweep):
         """True when the journal records a clean end of sweep *sweep*."""
+        return any(entry.get("finished") for entry in (self._read(sweep) or ()))
+
+    def _read(self, sweep):
+        """The body entries on disk, or ``None`` if not *sweep*'s journal.
+
+        The one reader behind every query: a missing or empty file, an
+        unparsable header, or a header naming another sweep yields
+        ``None``; unparsable body lines (torn writes at a crash point)
+        are skipped one by one.
+        """
         try:
             with open(self.path) as handle:
-                lines = handle.read().splitlines()
+                if _parse(handle.readline()).get("sweep") != sweep:
+                    return None
+                return [entry for entry in map(_parse, handle) if entry]
         except OSError:
-            return False
-        if not lines:
-            return False
-        try:
-            if json.loads(lines[0]).get("sweep") != sweep:
-                return False
-            return any(
-                json.loads(line).get("finished") for line in lines[1:]
-            )
-        except ValueError:
-            return False
+            return None
 
     # -- writing ---------------------------------------------------------
 
@@ -149,7 +122,7 @@ class SweepJournal:
         always when the on-disk journal belongs to a different sweep,
         the file is rewritten with a fresh header.
         """
-        preserve = keep and self._matches(sweep)
+        preserve = keep and self._read(sweep) is not None
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -162,14 +135,6 @@ class SweepJournal:
                 header["label"] = label
             self._write(header)
         self._sweep = sweep
-
-    def _matches(self, sweep):
-        try:
-            with open(self.path) as handle:
-                first = handle.readline()
-            return json.loads(first).get("sweep") == sweep
-        except (OSError, ValueError):
-            return False
 
     def record(self, key, provenance=None, result=None):
         """Append one completed cell and flush it to disk.

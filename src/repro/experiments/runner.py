@@ -28,9 +28,10 @@ Crash-safety (all opt-in, see :func:`run_experiment`):
   (``resume=True``) and will re-read finished cells from the cache;
 * a per-replication wall-clock *watchdog* raises
   :class:`~repro.des.errors.SimulationStalled` inside the worker, and
-  a harness-level guard terminates workers that are too wedged even
-  for that; killed cells are retried on a fresh pool with capped
-  exponential backoff, bounded by ``watchdog_retries``;
+  a harness-level guard terminates pool workers that are too wedged
+  even for that; stalled cells run again in the next retry round
+  (inline, or on a fresh pool) after a capped exponential backoff,
+  bounded by ``watchdog_retries``;
 * ``drain_signals=True`` converts SIGINT/SIGTERM into a graceful
   drain: in-flight cells finish (bounded), the journal is flushed,
   and ``KeyboardInterrupt`` is raised.
@@ -371,7 +372,6 @@ class _SweepContext:
         "cells",
         "journal",
         "journaled",
-        "resumed_results",
         "analytic",
     )
 
@@ -387,9 +387,6 @@ class _SweepContext:
         self.remaining = [replications] * len(self.configs)
         self.journal = None
         self.journaled = set()
-        #: cell key -> inline output dict read back from a resumed
-        #: faulted journal (results that never touched the cache).
-        self.resumed_results = {}
         #: config index -> AnalyticPrediction for pruned configurations
         #: (populated only under ``accelerator="analytic"``).
         self.analytic = {}
@@ -405,27 +402,11 @@ class _SweepContext:
                 self.cells.append((i, r, run_params, cache_key(run_params)))
 
 
-def run_experiment(
-    spec,
-    replications=1,
-    jobs=None,
-    progress=None,
-    cache=None,
-    refresh=False,
-    cell_progress=None,
-    manifests=True,
-    journal=None,
-    resume=False,
-    watchdog=None,
-    watchdog_retries=2,
-    drain_signals=False,
-    accelerator=None,
-    metrics=None,
-    metrics_snapshot=None,
-    fault_plan=None,
-    backoff=None,
-):
+def run_experiment(spec, journal=None, **options):
     """Execute every configuration of *spec*.
+
+    The one-spec form of :func:`run_experiments`, which takes every
+    other keyword (documented here) unchanged.
 
     Parameters
     ----------
@@ -545,26 +526,7 @@ def run_experiment(
         With *drain_signals*, after a signal-triggered drain has
         flushed the journal.
     """
-    return run_experiments(
-        [spec],
-        replications=replications,
-        jobs=jobs,
-        progress=progress,
-        cache=cache,
-        refresh=refresh,
-        cell_progress=cell_progress,
-        manifests=manifests,
-        journals=[journal],
-        resume=resume,
-        watchdog=watchdog,
-        watchdog_retries=watchdog_retries,
-        drain_signals=drain_signals,
-        accelerator=accelerator,
-        metrics=metrics,
-        metrics_snapshot=metrics_snapshot,
-        fault_plan=fault_plan,
-        backoff=backoff,
-    )[0]
+    return run_experiments([spec], journals=[journal], **options)[0]
 
 
 def run_experiments(
@@ -633,19 +595,17 @@ def run_experiments(
     if fault_plan is not None and not fault_plan.enabled():
         fault_plan = None  # an empty plan is the unfaulted path
     faulted = fault_plan is not None
-    if faulted or backoff is not None:
-        # Faulted / backoff-ablation results are not the pure function
-        # of the parameters the cache addresses: never read from nor
-        # write to it.  Faulted cells journal their outputs inline
-        # instead (see SweepJournal), which is what resume reads back.
-        cache = None
-    else:
-        cache = _resolve_cache(cache)
     if faulted and accelerator is not None:
         raise ValueError(
             "the analytic accelerator models the unfaulted system and "
             "cannot prune a faulted sweep"
         )
+    # Faulted / backoff-ablation results are not the pure function of
+    # the parameters the cache addresses: never read from nor write to
+    # it.  Faulted cells journal their outputs inline instead (see
+    # SweepJournal), which is what resume reads back.
+    cache = None if faulted or backoff is not None else _resolve_cache(cache)
+    journal_payload = _inline_record if faulted else _no_record
     contexts = [
         _SweepContext(spec, replications, index)
         for index, spec in enumerate(specs)
@@ -681,8 +641,18 @@ def run_experiments(
     journal_done = 0
     journalled = 0
 
-    def notify_cell(ctx, i, r, source, seconds=None):
-        nonlocal done_cells, journal_done
+    def log(ctx, key, already=False, **entry):
+        """Journal one resolved cell, unless the journal already has it."""
+        nonlocal journalled
+        if ctx.journal is not None:
+            if not already:
+                ctx.journal.record(key, **entry)
+            journalled += 1
+
+    def settle(ctx, i, r, value, source, seconds=None):
+        """File one resolved cell, report it, and close its config."""
+        nonlocal done_cells, done_configs, journal_done
+        ctx.grid[i][r] = value
         done_cells += 1
         if ctx.journal is not None:
             journal_done += 1
@@ -710,9 +680,9 @@ def run_experiments(
                     "seconds": seconds,
                 },
             )
-
-    def finish_config(ctx, i):
-        nonlocal done_configs
+        ctx.remaining[i] -= 1
+        if ctx.remaining[i]:
+            return
         prediction = ctx.analytic.get(i)
         # A pruned configuration's outcome IS its prediction (it
         # mimics the ReplicatedResult read surface); everything else
@@ -724,6 +694,7 @@ def run_experiments(
         if progress is not None:
             progress(done_configs, total_configs)
 
+    resumed_results = {}
     for ctx, journal in zip(contexts, journals):
         if isinstance(journal, (str, os.PathLike)):
             journal = SweepJournal(journal)
@@ -738,7 +709,7 @@ def run_experiments(
             if resume:
                 ctx.journaled = journal.load(sid)
                 if faulted:
-                    ctx.resumed_results = journal.load_results(sid)
+                    resumed_results.update(journal.load_results(sid))
             journal.begin(
                 sid,
                 len(ctx.cells),
@@ -747,10 +718,10 @@ def run_experiments(
             )
 
     # Cache scan, then the global queue: cells no spec could answer
-    # from the cache become unique jobs, deduplicated by content
+    # without simulating become unique jobs, deduplicated by content
     # address across the whole batch.
+    lookup = _cell_lookup(cache, resumed_results, refresh)
     jobs_by_key = {}
-    job_order = []
     for ctx in contexts:
         for i, r, run_params, key in ctx.cells:
             prediction = ctx.analytic.get(i)
@@ -758,173 +729,87 @@ def run_experiments(
                 # Pruned by the accelerator: fill from the analytic
                 # model.  No cache read, no cache write — predictions
                 # must never masquerade as simulation results.
-                ctx.grid[i][r] = prediction
                 ctx.stats.analytic_cells += 1
-                if ctx.journal is not None:
-                    if key not in ctx.journaled:
-                        ctx.journal.record(key, provenance="analytic")
-                    journalled += 1
-                notify_cell(ctx, i, r, "analytic")
-                ctx.remaining[i] -= 1
+                log(ctx, key, key in ctx.journaled, provenance="analytic")
+                settle(ctx, i, r, prediction, "analytic")
                 continue
-            hit = None
-            if cache is not None and not refresh:
-                hit = cache.get(run_params)
-            elif key in ctx.resumed_results and not refresh:
-                # Faulted resume: rebuild the result from the journal's
-                # inline output record (the cache never saw it).
-                try:
-                    hit = result_from_document(
-                        run_params, ctx.resumed_results[key]
-                    )
-                except KeyError:
-                    hit = None  # written before a field existed
-            if hit is not None:
-                ctx.grid[i][r] = hit
-                config_stats = ctx.stats.per_config[i]
-                config_stats.cache_hits += 1
-                ctx.stats.cache_hits += 1
-                if key in ctx.journaled:
-                    ctx.stats.resumed += 1
-                    journalled += 1
-                elif ctx.journal is not None:
-                    ctx.journal.record(key)
-                    journalled += 1
-                notify_cell(ctx, i, r, "cache")
-                ctx.remaining[i] -= 1
-            else:
+            hit = lookup(run_params, key)
+            if hit is None:
                 ctx.stats.cache_misses += 1
                 job = jobs_by_key.get(key)
                 if job is None:
-                    job = _Job(len(job_order), run_params, key)
-                    jobs_by_key[key] = job
-                    job_order.append(job)
+                    job = jobs_by_key[key] = _Job(len(jobs_by_key), run_params, key)
                 job.requesters.append((ctx, i, r))
+                continue
+            ctx.stats.per_config[i].cache_hits += 1
+            ctx.stats.cache_hits += 1
+            resumed = key in ctx.journaled
+            ctx.stats.resumed += resumed
+            log(ctx, key, resumed)
+            settle(ctx, i, r, hit, "cache")
 
-    # Configurations fully answered by the cache complete immediately,
-    # in batch and sweep order.
-    for ctx in contexts:
-        for i in range(len(ctx.configs)):
-            if ctx.remaining[i] == 0:
-                finish_config(ctx, i)
-
+    # Longest-expected-first (stable, so ties keep enqueue order):
+    # start the big cells immediately and let the cheap ones backfill
+    # workers that free up while the stragglers finish.
+    queue = sorted(jobs_by_key.values(), key=lambda job: -job.cost)
+    jobs_remaining = len(queue)
+    workers = 0
+    if queue:
+        workers = 1 if (jobs or 0) <= 1 else min(jobs, os.cpu_count() or 1, len(queue))
     busy_seconds = 0.0
-    jobs_remaining = 0
-    #: Execution window state deliver() needs for the live occupancy
-    #: gauge (populated once the worker count is chosen, below).
-    exec_state = {"started": None, "workers": 0}
+    exec_started = perf_counter()
 
-    def deliver(job, result, seconds, queue_wait, snapshot=None):
-        nonlocal busy_seconds, jobs_remaining, journalled
+    def deliver(job, result, seconds, queue_wait, snapshot):
+        nonlocal busy_seconds, jobs_remaining
         busy_seconds += seconds
         jobs_remaining -= 1
         if metrics is not None:
             metrics.merge_snapshot(snapshot)
         if sweep_inst is not None:
             sweep_inst.queue_depth.set(jobs_remaining)
-            if exec_state["started"] is not None and exec_state["workers"]:
-                window = perf_counter() - exec_state["started"]
-                if window > 0.0:
-                    sweep_inst.occupancy.set(
-                        busy_seconds / (exec_state["workers"] * window)
-                    )
-        job.requesters[0][0].stats.queue_wait_seconds += queue_wait
+            window = perf_counter() - exec_started
+            if window > 0.0:
+                sweep_inst.occupancy.set(busy_seconds / (workers * window))
+        first, first_config, _ = job.requesters[0]
+        first.stats.queue_wait_seconds += queue_wait
+        first.stats.per_config[first_config].seconds += seconds
+        if cache is not None:
+            cache.put(job.run_params, result)
+            if manifests:
+                cache.put_manifest(
+                    job.run_params,
+                    build_manifest(
+                        job.run_params,
+                        cache_hit=False,
+                        wall_seconds=seconds,
+                        model_version=cache.model_version,
+                        metrics=(
+                            summarize_snapshot(snapshot)
+                            if snapshot is not None
+                            else None
+                        ),
+                    ),
+                )
+        record = journal_payload(result)
         for rank, (ctx, i, r) in enumerate(job.requesters):
-            ctx.grid[i][r] = result
-            config_stats = ctx.stats.per_config[i]
-            config_stats.runs += 1
+            ctx.stats.per_config[i].runs += 1
             ctx.stats.runs += 1
-            if rank == 0:
-                config_stats.seconds += seconds
-                if cache is not None:
-                    cache.put(job.run_params, result)
-                    if manifests:
-                        cache.put_manifest(
-                            job.run_params,
-                            build_manifest(
-                                job.run_params,
-                                cache_hit=False,
-                                wall_seconds=seconds,
-                                model_version=cache.model_version,
-                                metrics=(
-                                    summarize_snapshot(snapshot)
-                                    if snapshot is not None
-                                    else None
-                                ),
-                            ),
-                        )
-            if ctx.journal is not None:
-                if faulted:
-                    # No cache to resume from: journal the full output
-                    # record inline so a resumed faulted sweep is
-                    # bit-identical to an uninterrupted one.
-                    record = {
-                        name: getattr(result, name)
-                        for name in RESULT_FIELDS
-                    }
-                    if result.per_class:
-                        record["per_class"] = [
-                            dict(entry) for entry in result.per_class
-                        ]
-                    ctx.journal.record(job.key, result=record)
-                else:
-                    ctx.journal.record(job.key)
-                journalled += 1
-            notify_cell(
-                ctx, i, r,
-                "run" if rank == 0 else "shared",
-                seconds if rank == 0 else None,
-            )
-            ctx.remaining[i] -= 1
-            if ctx.remaining[i] == 0:
-                finish_config(ctx, i)
+            log(ctx, job.key, result=record)
+            if rank:
+                settle(ctx, i, r, result, "shared")
+            else:
+                settle(ctx, i, r, result, "run", seconds)
 
-    def mark_restart(job):
-        for ctx, _, _ in job.requesters:
-            ctx.stats.watchdog_restarts += 1
-
-    # Longest-expected-first (stable, so ties keep enqueue order):
-    # start the big cells immediately and let the cheap ones backfill
-    # workers that free up while the stragglers finish.
-    queue = sorted(job_order, key=lambda job: -job.cost)
-    jobs_remaining = len(queue)
     if sweep_inst is not None:
         sweep_inst.queue_depth.set(jobs_remaining)
-
-    if jobs is None:
-        jobs = 0
-    workers = 0
-    collect = metrics is not None
+        if workers:
+            sweep_inst.workers.set(workers)
     drain = _SignalDrain().install() if drain_signals else None
-    exec_started = perf_counter()
-    exec_state["started"] = exec_started
     try:
-        if queue and jobs <= 1:
-            workers = 1
-            exec_state["workers"] = workers
-            if sweep_inst is not None:
-                sweep_inst.workers.set(workers)
-            _run_inline(
-                queue, deliver, mark_restart, drain, watchdog,
-                watchdog_retries, collect, fault_plan, backoff,
-            )
-        elif queue:
-            workers = min(jobs, os.cpu_count() or 1, len(queue)) or 1
-            exec_state["workers"] = workers
-            if sweep_inst is not None:
-                sweep_inst.workers.set(workers)
-            _run_pooled(
-                queue,
-                deliver,
-                mark_restart,
-                drain,
-                watchdog,
-                watchdog_retries,
-                workers,
-                collect,
-                fault_plan,
-                backoff,
-            )
+        _Rounds(
+            workers, watchdog, watchdog_retries, deliver, drain,
+            (watchdog, metrics is not None, fault_plan, backoff),
+        ).run(queue)
         for ctx in contexts:
             if ctx.journal is not None:
                 ctx.journal.finish()
@@ -939,7 +824,7 @@ def run_experiments(
             snapshot_writer.maybe_write(force=True)
     exec_elapsed = perf_counter() - exec_started
     occupancy = 0.0
-    if queue and workers and exec_elapsed > 0.0:
+    if workers and exec_elapsed > 0.0:
         occupancy = busy_seconds / (workers * exec_elapsed)
     elapsed = perf_counter() - started
     if sweep_inst is not None:
@@ -956,6 +841,48 @@ def run_experiments(
     ]
 
 
+def _cell_lookup(cache, resumed_results, refresh):
+    """``lookup(run_params, key)``: a cell's result without simulating.
+
+    Chosen once per sweep: the result cache answers by parameters; a
+    faulted resume (which never touches the cache) rebuilds results
+    from the journal's inline output records, keyed by cell address.
+    """
+    if refresh:
+        return lambda run_params, key: None
+    if cache is not None:
+        return lambda run_params, key: cache.get(run_params)
+
+    def from_journal(run_params, key):
+        document = resumed_results.get(key)
+        if document is None:
+            return None
+        try:
+            return result_from_document(run_params, document)
+        except KeyError:
+            return None  # written before a field existed
+
+    return from_journal
+
+
+def _no_record(result):
+    """Journal payload of a cell whose result lives in the cache: none."""
+    return None
+
+
+def _inline_record(result):
+    """Journal payload of a faulted cell: its full output record.
+
+    Faulted sweeps have no cache to resume from; the JSON float
+    round-trip is exact, so a resumed faulted sweep is bit-identical
+    to an uninterrupted one.
+    """
+    record = {name: getattr(result, name) for name in RESULT_FIELDS}
+    if result.per_class:
+        record["per_class"] = [dict(entry) for entry in result.per_class]
+    return record
+
+
 def _stalled_error(job, watchdog, attempts):
     """Uniform :class:`SweepStalled` for a job that kept timing out."""
     _, i, r = job.requesters[0]
@@ -965,160 +892,142 @@ def _stalled_error(job, watchdog, attempts):
     )
 
 
-def _run_inline(
-    queue, deliver, mark_restart, drain, watchdog, watchdog_retries,
-    collect=False, fault_plan=None, backoff=None,
-):
-    """Execute the job *queue* in this process, one job at a time."""
-    for job in queue:
-        if drain is not None and drain.tripped:
-            raise KeyboardInterrupt
-        attempt = 0
-        while True:
-            try:
-                result, seconds, snapshot = _run_single_timed(
-                    job.run_params, watchdog, collect, fault_plan, backoff
-                )
-                break
-            except SimulationStalled:
-                attempt += 1
-                mark_restart(job)
-                if attempt > watchdog_retries:
-                    raise _stalled_error(job, watchdog, attempt) from None
-                sleep(_retry_backoff(attempt))
-        deliver(job, result, seconds, 0.0, snapshot)
+class _Rounds:
+    """Runs the global job queue to completion in retry rounds.
 
+    A round runs every outstanding job, in this process when there is
+    one worker or on a fresh process pool otherwise, and returns the
+    jobs that stalled (the in-worker watchdog, or the pool's hard-limit
+    guard).  They run again in the next round after a capped
+    exponential backoff — up to *retries* times per job, then
+    :class:`SweepStalled`.
 
-def _run_pooled(
-    queue, deliver, mark_restart, drain, watchdog, watchdog_retries,
-    max_workers, collect=False, fault_plan=None, backoff=None,
-):
-    """Fan the job *queue* out over worker pools, retrying stalls.
-
-    Each *round* runs the outstanding jobs on one pool.  Jobs that
-    stall (in-worker watchdog) or whose workers are terminated by the
-    harness-level guard are collected and re-run on a fresh pool in
-    the next round, after a capped exponential backoff — up to
-    *watchdog_retries* attempts per job, then :class:`SweepStalled`.
+    *worker_args* are bound once and passed positionally to the
+    module-level :func:`_run_single_timed`, which is looked up at call
+    time (so it can be swapped for a spy or a picklable replacement).
     """
-    attempts = {}
-    outstanding = list(queue)
-    round_index = 0
-    while outstanding:
-        if round_index:
-            sleep(_retry_backoff(round_index))
-        outstanding = _pool_round(
-            outstanding,
-            deliver,
-            mark_restart,
-            drain,
-            watchdog,
-            watchdog_retries,
-            max_workers,
-            attempts,
-            collect,
-            fault_plan,
-            backoff,
-        )
-        round_index += 1
 
+    def __init__(self, workers, watchdog, retries, deliver, drain, worker_args):
+        self.workers = workers
+        self.watchdog = watchdog
+        self.retries = retries
+        self.deliver = deliver
+        self.drain = drain
+        self.worker_args = worker_args
+        self.attempts = {}
 
-def _pool_round(
-    queue,
-    deliver,
-    mark_restart,
-    drain,
-    watchdog,
-    watchdog_retries,
-    max_workers,
-    attempts,
-    collect=False,
-    fault_plan=None,
-    backoff=None,
-):
-    """Run one pool over the job *queue*; returns the jobs to retry."""
-    retry = []
+    def run(self, queue):
+        run_round = self._inline_round if self.workers <= 1 else self._pool_round
+        round_index = 0
+        while queue:
+            if round_index:
+                sleep(_retry_backoff(round_index))
+            queue = run_round(queue)
+            round_index += 1
 
-    def mark_stalled(job):
-        mark_restart(job)
-        attempts[job.seq] = attempts.get(job.seq, 0) + 1
-        if attempts[job.seq] > watchdog_retries:
-            raise _stalled_error(job, watchdog, attempts[job.seq])
+    def _stalled(self, job, retry):
+        """Count a stall of *job* and queue it for the next round."""
+        for ctx, _, _ in job.requesters:
+            ctx.stats.watchdog_restarts += 1
+        attempts = self.attempts[job.seq] = self.attempts.get(job.seq, 0) + 1
+        if attempts > self.retries:
+            raise _stalled_error(job, self.watchdog, attempts)
         retry.append(job)
 
-    pool = concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(max_workers, len(queue))
-    )
-    futures = {}
-    submitted = {}
-    for job in queue:
-        future = pool.submit(
-            _run_single_timed, job.run_params, watchdog,
-            collect, fault_plan, backoff,
+    def _draining(self):
+        return self.drain is not None and self.drain.tripped
+
+    def _inline_round(self, queue):
+        """Run the jobs one at a time in this process."""
+        retry = []
+        for job in queue:
+            if self._draining():
+                raise KeyboardInterrupt
+            try:
+                result, seconds, snapshot = _run_single_timed(
+                    job.run_params, *self.worker_args
+                )
+            except SimulationStalled:
+                self._stalled(job, retry)
+            else:
+                self.deliver(job, result, seconds, 0.0, snapshot)
+        return retry
+
+    def _pool_round(self, queue):
+        """Run the jobs on one fresh process pool."""
+        retry = []
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(self.workers, len(queue))
         )
-        futures[future] = job
-        submitted[future] = perf_counter()
-    not_done = set(futures)
-    # The harness guard only fires when workers are wedged past the
-    # in-worker timeout (e.g. stuck outside the run loop), so it sits
-    # well above the watchdog itself.
-    hard_limit = None if watchdog is None else max(2.0 * watchdog, watchdog + 5.0)
-    needs_polling = watchdog is not None or drain is not None
-    last_progress = perf_counter()
-    draining_since = None
-    try:
-        while not_done:
-            if drain is not None and drain.tripped and draining_since is None:
-                draining_since = perf_counter()
-                for future in not_done:
-                    future.cancel()
-            done, not_done = concurrent.futures.wait(
-                not_done,
-                timeout=0.2 if needs_polling else None,
-                return_when=concurrent.futures.FIRST_COMPLETED,
+        futures = {}
+        submitted = {}
+        for job in queue:
+            future = pool.submit(
+                _run_single_timed, job.run_params, *self.worker_args
             )
-            for future in done:
-                if future.cancelled():
-                    continue  # drained before it started
-                job = futures[future]
-                try:
-                    result, seconds, snapshot = future.result()
-                except SimulationStalled:
-                    mark_stalled(job)
-                else:
-                    # Queue wait is measured parent-side (the worker
-                    # function stays the plain picklable
-                    # _run_single_timed): time from submission to the
-                    # result landing, minus the compute itself.  That
-                    # includes pool hand-off overhead, which is exactly
-                    # the idle cost occupancy should see.
-                    wait = max(
-                        0.0,
-                        perf_counter() - submitted[future] - seconds,
-                    )
-                    deliver(job, result, seconds, wait, snapshot)
-                last_progress = perf_counter()
-            if draining_since is not None:
+            futures[future] = job
+            submitted[future] = perf_counter()
+        not_done = set(futures)
+        # The harness guard only fires when workers are wedged past the
+        # in-worker timeout (e.g. stuck outside the run loop), so it
+        # sits well above the watchdog itself.
+        watchdog = self.watchdog
+        hard_limit = None if watchdog is None else max(2.0 * watchdog, watchdog + 5.0)
+        needs_polling = watchdog is not None or self.drain is not None
+        last_progress = perf_counter()
+        draining_since = None
+        try:
+            while not_done:
+                if self._draining() and draining_since is None:
+                    draining_since = perf_counter()
+                    for future in not_done:
+                        future.cancel()
+                done, not_done = concurrent.futures.wait(
+                    not_done,
+                    timeout=0.2 if needs_polling else None,
+                    return_when=concurrent.futures.FIRST_COMPLETED,
+                )
+                for future in done:
+                    if future.cancelled():
+                        continue  # drained before it started
+                    job = futures[future]
+                    try:
+                        result, seconds, snapshot = future.result()
+                    except SimulationStalled:
+                        self._stalled(job, retry)
+                    else:
+                        # Queue wait is measured parent-side: time from
+                        # submission to the result landing, minus the
+                        # compute itself.  That includes pool hand-off
+                        # overhead, which is exactly the idle cost
+                        # occupancy should see.
+                        wait = max(
+                            0.0,
+                            perf_counter() - submitted[future] - seconds,
+                        )
+                        self.deliver(job, result, seconds, wait, snapshot)
+                    last_progress = perf_counter()
+                if draining_since is not None:
+                    if (
+                        not not_done
+                        or perf_counter() - draining_since > DRAIN_GRACE_SECONDS
+                    ):
+                        _terminate_pool(pool)
+                        raise KeyboardInterrupt
+                    continue
                 if (
-                    not not_done
-                    or perf_counter() - draining_since > DRAIN_GRACE_SECONDS
+                    hard_limit is not None
+                    and not_done
+                    and not done
+                    and perf_counter() - last_progress > hard_limit
                 ):
+                    # No completion for well past the in-worker budget:
+                    # the workers are wedged.  Kill them and re-queue
+                    # whatever they were running on a fresh pool.
                     _terminate_pool(pool)
-                    raise KeyboardInterrupt
-                continue
-            if (
-                hard_limit is not None
-                and not_done
-                and not done
-                and perf_counter() - last_progress > hard_limit
-            ):
-                # No completion for well past the in-worker budget:
-                # the workers are wedged.  Kill them and re-queue
-                # whatever they were running on a fresh pool.
-                _terminate_pool(pool)
-                for future in not_done:
-                    mark_stalled(futures[future])
-                return retry
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    return retry
+                    for future in not_done:
+                        self._stalled(futures[future], retry)
+                    return retry
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+        return retry

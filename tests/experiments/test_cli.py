@@ -508,3 +508,38 @@ class TestObservabilityVerbs:
         out = capsys.readouterr().out
         assert "Contention diagnosis:" in out
         assert "hottest granules by time spent waiting:" in out
+
+
+class TestFlagErrors:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["predict", "--ltot-grid", "1,x"], "--ltot-grid"),
+            (["faults", "--ltot-grid", "10,abc"], "--ltot-grid"),
+            (["crossval", "fig2", "--npros-grid", "1,y"], "--npros-grid"),
+        ],
+        ids=["predict", "faults", "crossval"],
+    )
+    def test_malformed_grid_exits_2_naming_the_flag(self, capsys, argv, flag):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_crossval_npros_grid_needs_an_npros_sweep(self, capsys):
+        assert main(["crossval", "table1", "--npros-grid", "1,2"]) == 2
+        err = capsys.readouterr().err
+        assert "--npros-grid" in err
+        assert "table1" in err
+
+
+class TestMetricsSnapshotFlag:
+    def test_snapshot_implies_metrics(self, capsys, tmp_path):
+        snapshot = tmp_path / "m.json"
+        code = main(
+            ["run", "table1", "--tmax", "40", "--no-cache",
+             "--metrics-snapshot", str(snapshot)]
+        )
+        assert code == 0
+        assert snapshot.exists()
+        assert "Metrics:" in capsys.readouterr().out

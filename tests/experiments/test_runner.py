@@ -1,6 +1,7 @@
 """Integration tests for the experiment runner."""
 
 import json
+import os
 
 import pytest
 
@@ -43,6 +44,28 @@ class _StallOnceWorker:
         if self.calls == 1:
             raise SimulationStalled("injected stall")
         return _run_single_timed(params, *args)
+
+
+class _StallOncePerCellWorker:
+    """Picklable worker: stalls on the first call for each cell.
+
+    The first call per cell is recorded by creating a marker file with
+    ``O_EXCL`` under *marker_dir*, so the record survives the fresh
+    process pool of every retry round.
+    """
+
+    def __init__(self, marker_dir):
+        self.marker_dir = str(marker_dir)
+
+    def __call__(self, params, *args):
+        marker = os.path.join(
+            self.marker_dir, "{}-{}-{}".format(params.npros, params.ltot, params.seed)
+        )
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return _run_single_timed(params, *args)
+        raise SimulationStalled("injected stall")
 
 
 @pytest.fixture
@@ -254,6 +277,23 @@ class TestWatchdog:
         )
         assert result.stats.watchdog_restarts == 1
         assert all(outcome is not None for outcome in result.outcomes)
+
+    def test_pooled_stall_retries_then_succeeds(
+        self, tiny_spec, monkeypatch, tmp_path
+    ):
+        plain = run_experiment(tiny_spec, cache=False)
+        monkeypatch.setattr(
+            runner_module, "_run_single_timed",
+            _StallOncePerCellWorker(tmp_path),
+        )
+        result = run_experiment(
+            tiny_spec, cache=False, jobs=2, watchdog=1.0, watchdog_retries=2
+        )
+        assert result.stats.watchdog_restarts == 4  # every cell, once
+        assert len(list(tmp_path.iterdir())) == 4
+        assert all(outcome is not None for outcome in result.outcomes)
+        for a, b in zip(plain.outcomes, result.outcomes):
+            assert a.as_dict() == b.as_dict()
 
     def test_inline_stall_exhausts_retries(self, tiny_spec, monkeypatch):
         monkeypatch.setattr(
