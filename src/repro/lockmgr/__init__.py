@@ -16,8 +16,9 @@ Layers
     Lock modes (S, X and the intention modes IS, IX, SIX) and their
     compatibility matrix.
 :mod:`repro.lockmgr.table`
-    The lock table proper: per-granule holder sets and FIFO wait
-    queues.
+    The lock table proper: a light ``(owner, mode, seq)`` entry per
+    granule held by one owner, and holder sets with FIFO wait queues
+    where a second request reaches a granule.
 :mod:`repro.lockmgr.manager`
     :class:`LockManager` — preclaim (all-or-nothing) and incremental
     acquisition protocols over the table, with callback-based grants so

@@ -95,19 +95,24 @@ _SUPREMUM = {
 }
 
 
-# Pair-keyed flattening of COMPATIBILITY: one dict lookup instead of
-# two on the grant/conflict hot path (compatible() runs once per held
-# lock per request under contention).
-_COMPATIBLE_PAIRS = {
-    (held, requested): ok
-    for held, row in COMPATIBILITY.items()
-    for requested, ok in row.items()
-}
+# Each mode carries one bit and the mask of the modes it admits, so
+# compatible() is a single ``&`` on the grant/conflict hot path (it runs
+# once per held lock per request under contention) and never hashes an
+# enum member.
+for _index, _mode in enumerate(LockMode):
+    _mode.bit = 1 << _index
+for _mode in LockMode:
+    _mode.compatible_mask = sum(
+        requested.bit
+        for requested, ok in COMPATIBILITY[_mode].items()
+        if ok
+    )
+del _index, _mode
 
 
 def compatible(held, requested):
     """True if *requested* can be granted alongside *held*."""
-    return _COMPATIBLE_PAIRS[(held, requested)]
+    return held.compatible_mask & requested.bit != 0
 
 
 def supremum(a, b):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.lockmgr import DeadlockDetector, LockManager, LockMode, RequestStatus
 from repro.lockmgr.manager import exclusive_requests
+from repro.lockmgr.table import GranuleState
 
 
 class TestPreclaim:
@@ -245,6 +246,65 @@ class TestBatchedAcquire:
         ]
 
 
+class TestLightEntries:
+    def test_fresh_grants_build_no_state(self):
+        manager = LockManager()
+        manager.acquire("T1", "a", LockMode.X)
+        assert manager.acquire_from("T1", ["b", "c"], 0, LockMode.S) == (2, None)
+        assert manager.try_acquire_all("T2", exclusive_requests(["d"])) is None
+        table = manager.table
+        assert table.states == {}
+        assert table.light == {
+            "a": ("T1", LockMode.X, 0),
+            "b": ("T1", LockMode.S, 1),
+            "c": ("T1", LockMode.S, 2),
+            "d": ("T2", LockMode.X, 3),
+        }
+        assert len(table) == 4 and "c" in table
+        manager.check_invariants()
+
+    def test_second_owner_materialises_with_the_entry_seq(self):
+        manager = LockManager()
+        manager.acquire("T1", "a", LockMode.S)
+        manager.acquire("T1", "b", LockMode.S)
+        manager.acquire("T2", "a", LockMode.S)
+        state = manager.table.peek("a")
+        assert state.seq == 0
+        assert list(state.holders.items()) == [
+            ("T1", LockMode.S),
+            ("T2", LockMode.S),
+        ]
+        assert "a" not in manager.table.light
+        assert manager.table.peek("b") is None
+        manager.check_invariants()
+
+    def test_repeated_request_by_the_holder_materialises(self):
+        manager = LockManager()
+        manager.acquire_from("T1", ["a", "b", "a"], 0, LockMode.S)
+        assert list(manager.table.states) == ["a"]
+        assert manager.table.mode_of("a", "T1") is LockMode.S
+        manager.check_invariants()
+
+    def test_reads_leave_light_entries_light(self):
+        manager = LockManager()
+        manager.acquire("T1", "a", LockMode.S)
+        assert manager.conflicting_holders("T2", "a", LockMode.X) == ["T1"]
+        assert manager.conflicting_holders("T2", "a", LockMode.S) == []
+        assert manager.try_acquire_all("T2", exclusive_requests(["a"])) == "T1"
+        assert manager.table.holders("a") == {"T1": LockMode.S}
+        assert manager.table.states == {}
+
+    def test_release_all_drops_light_entries_and_promotes_states(self):
+        manager = LockManager()
+        manager.acquire_from("T1", ["a", "b", "c"], 0, LockMode.X)
+        waiter = manager.acquire("T2", "b", LockMode.X)
+        assert manager.release_all("T1") == [waiter]
+        assert manager.table.light == {}
+        assert list(manager.table.states) == ["b"]
+        assert manager.held_by("T2") == {"b"}
+        manager.check_invariants()
+
+
 class TestInvariantCheck:
     def test_clean_manager_passes(self):
         manager = LockManager()
@@ -268,6 +328,23 @@ class TestInvariantCheck:
         manager.acquire("T2", "g", LockMode.X)
         manager._waited.clear()
         with pytest.raises(AssertionError, match="waiter index"):
+            manager.check_invariants()
+
+    def test_detects_light_entry_missing_from_held_set(self):
+        manager = LockManager()
+        manager.acquire("T1", "g", LockMode.X)
+        manager.acquire("T1", "h", LockMode.X)
+        manager._held["T1"].discard("g")
+        with pytest.raises(AssertionError, match="held sets"):
+            manager.check_invariants()
+
+    def test_detects_granule_both_light_and_materialised(self):
+        manager = LockManager()
+        manager.acquire("T1", "g", LockMode.X)
+        state = GranuleState(manager.table.light["g"][2])
+        state.holders["T1"] = LockMode.X
+        manager.table.states["g"] = state
+        with pytest.raises(AssertionError, match="light and materialised"):
             manager.check_invariants()
 
     def test_runs_the_table_checks(self):

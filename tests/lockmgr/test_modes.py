@@ -11,6 +11,13 @@ class TestCompatibility:
             for requested in LockMode:
                 assert isinstance(COMPATIBILITY[held][requested], bool)
 
+    @pytest.mark.parametrize("held", list(LockMode))
+    @pytest.mark.parametrize("requested", list(LockMode))
+    def test_compatible_reads_the_matrix(self, held, requested):
+        # compatible() is a bit-mask test; all 25 pairs must agree
+        # with the matrix it was built from.
+        assert compatible(held, requested) is COMPATIBILITY[held][requested]
+
     def test_matrix_is_symmetric(self):
         for a in LockMode:
             for b in LockMode:
