@@ -25,6 +25,7 @@ from repro.core.results import aggregate
 from repro.core.transaction import Transaction, split_entities
 from repro.core.workload import make_size_sampler
 from repro.des import Environment, RandomStreams
+from repro.des.events import URGENT, Event
 from repro.engine.machine import Machine
 from repro.engine.processor import ProcessorDown
 from repro.faults.backoff import FixedUniformBackoff
@@ -262,10 +263,13 @@ class LockingGranularityModel:
         """The full life of one transaction (an arrival policy spawns
         one of these per arriving transaction)."""
         probe = self.metrics
+        traced = probe.trace is not None
         txn.arrival = self.env.now
-        probe.emit("arrive", txn, nu=txn.nu, locks=txn.lock_count)
+        if traced:
+            probe.emit("arrive", txn, nu=txn.nu, locks=txn.lock_count)
         yield from self.admission.admit(txn)
-        probe.emit("admit", txn)
+        if traced:
+            probe.emit("admit", txn)
         while True:
             try:
                 yield from self.cc.acquire(txn)
@@ -302,54 +306,161 @@ class LockingGranularityModel:
     def _execute(self, txn):
         """Run the sub-transactions; True iff every one completed.
 
-        A sub on a crashed node reports failure without failing its
-        process event, so the join always succeeds and surviving
-        siblings run to completion before the parent aborts.
+        A sub on a crashed node reports failure without failing the
+        join, so surviving siblings run to completion before the
+        parent aborts.
         """
-        emit = self.metrics.emit
+        probe = self.metrics
+        traced = probe.trace is not None
         processors = self.partitioning.processors(self.rngs["partitioning"])
-        emit("exec", txn, pu=len(processors))
+        if traced:
+            probe.emit("exec", txn, pu=len(processors))
         shares = split_entities(txn.nu, len(processors))
-        subtxns = []
+        join = _Join(self.env)
         for sub, (proc_index, entities) in enumerate(zip(processors, shares)):
             if entities <= 0:
                 continue
-            emit("fork", txn, sub=sub, node=proc_index, entities=entities)
-            subtxns.append(
-                self.env.process(
-                    self._subtransaction(txn, sub, proc_index, entities)
+            if traced:
+                probe.emit(
+                    "fork", txn, sub=sub, node=proc_index, entities=entities
                 )
-            )
-        if subtxns:
-            yield self.env.all_of(subtxns)
-        emit("join", txn, subs=len(subtxns))
-        return all(sub.value for sub in subtxns)
-
-    def _subtransaction(self, txn, sub, proc_index, entities):
-        params = self.params
-        node = self.machine[proc_index]
-        emit = self.metrics.emit
-        try:
-            emit("io_start", txn, sub=sub, node=proc_index)
-            yield node.io(entities * params.iotime)
-            emit("io_end", txn, sub=sub, node=proc_index)
-            emit("cpu_start", txn, sub=sub, node=proc_index)
-            yield node.compute(entities * params.cputime)
-            emit("cpu_end", txn, sub=sub, node=proc_index)
-        except ProcessorDown as down:
-            emit("sub_fail", txn, sub=sub, node=down.index)
-            return False
-        return True
+            join.pending += 1
+            _Subtransaction(self, txn, sub, proc_index, entities, join, traced)
+        forked = join.pending
+        ok = (yield join.event) if forked else True
+        if traced:
+            probe.emit("join", txn, subs=forked)
+        return ok
 
     # -- completion ----------------------------------------------------------
 
     def _complete(self, txn):
-        self.metrics.emit("commit", txn, attempts=txn.attempts)
+        if self.metrics.trace is not None:
+            self.metrics.emit("commit", txn, attempts=txn.attempts)
         self.conflicts.release(txn)
         self.metrics.note_completion(txn)
         self.wake_waiters(txn)
         self.admission.on_complete()
         self.arrivals.on_complete(self, txn)
+
+
+class _Join:
+    """The countdown join of one fork.
+
+    Its :attr:`event` is what the parent waits on.  It succeeds with
+    whether every sub completed once the last one reports, or fails
+    with the first error other than :class:`ProcessorDown` that a sub
+    reports (later reports are then ignored), as ``env.all_of`` over
+    the subs would.
+    """
+
+    __slots__ = ("event", "pending", "ok")
+
+    def __init__(self, env):
+        self.event = Event(env)
+        self.pending = 0
+        self.ok = True
+
+    def report(self, ok):
+        if self.event.triggered:
+            return
+        if not ok:
+            self.ok = False
+        self.pending -= 1
+        if not self.pending:
+            self.event.succeed(self.ok)
+
+    def error(self, exception):
+        if not self.event.triggered:
+            self.event.fail(exception)
+
+
+class _Subtransaction:
+    """One forked sub-transaction: disk, then CPU, then report.
+
+    Every stage is a bare kernel callback, scheduled at the point and
+    priority where a generator process doing the same steps would
+    schedule an event: :meth:`_start` where its ``Initialize`` goes
+    (urgent), one callback per io and cpu done event (the sub is the
+    servers' completion target: :meth:`succeed` and :meth:`fail`
+    schedule the next stage), and :meth:`_finish`, which reports to
+    the :class:`_Join`, where the process's completion event goes.
+    That keeps the event-id stream, and so every same-instant tie,
+    the same as a process per sub gives (DESIGN §7).  Do not merge
+    stages: each one is a heap entry other work may be ordered
+    against.
+    """
+
+    __slots__ = (
+        "env", "params", "node", "txn", "sub", "index", "entities", "join",
+        "probe", "_on_cpu", "_outcome",
+    )
+
+    def __init__(self, model, txn, sub, index, entities, join, traced):
+        self.env = model.env
+        self.params = model.params
+        self.node = model.machine[index]
+        self.txn = txn
+        self.sub = sub
+        self.index = index
+        self.entities = entities
+        self.join = join
+        # Decided once per sub: an untraced run builds no emit kwargs.
+        self.probe = model.metrics if traced else None
+        # The stage is a flag, not a stored bound method: that would be
+        # a reference cycle keeping the finished sub, and its
+        # transaction, alive until a full garbage collection.
+        self._on_cpu = False
+        self._outcome = True
+        self.env.schedule_callback(self._start, 0, URGENT)
+
+    def _start(self):
+        if self.probe is not None:
+            self.probe.emit("io_start", self.txn, sub=self.sub, node=self.index)
+        self.node.io(self.entities * self.params.iotime, self)
+
+    # -- completion target (called by the node's servers) ----------------
+
+    def succeed(self):
+        self.env.schedule_callback(
+            self._after_cpu if self._on_cpu else self._after_io
+        )
+
+    def fail(self, exception):
+        self._outcome = exception
+        self.env.schedule_callback(self._failed)
+
+    # -- stages ------------------------------------------------------------
+
+    def _after_io(self):
+        probe = self.probe
+        if probe is not None:
+            probe.emit("io_end", self.txn, sub=self.sub, node=self.index)
+            probe.emit("cpu_start", self.txn, sub=self.sub, node=self.index)
+        self._on_cpu = True
+        self.node.compute(self.entities * self.params.cputime, self)
+
+    def _after_cpu(self):
+        if self.probe is not None:
+            self.probe.emit("cpu_end", self.txn, sub=self.sub, node=self.index)
+        self.env.schedule_callback(self._finish)
+
+    def _failed(self):
+        down = self._outcome
+        if isinstance(down, ProcessorDown):
+            if self.probe is not None:
+                self.probe.emit(
+                    "sub_fail", self.txn, sub=self.sub, node=down.index
+                )
+            self._outcome = False
+        self.env.schedule_callback(self._finish)
+
+    def _finish(self):
+        outcome = self._outcome
+        if outcome is True or outcome is False:
+            self.join.report(outcome)
+        else:
+            self.join.error(outcome)
 
 
 def simulate(params=None, fault_plan=None, backoff=None, **overrides):

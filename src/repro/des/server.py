@@ -102,8 +102,8 @@ class Server:
 
     # -- public API ------------------------------------------------------
 
-    def submit(self, demand, priority=0, tag="default"):
-        """Request *demand* units of service; returns the done event.
+    def submit(self, demand, priority=0, tag="default", done=None):
+        """Request *demand* units of service; returns the done target.
 
         Parameters
         ----------
@@ -113,6 +113,11 @@ class Server:
             Lower numbers are served first and preempt higher numbers.
         tag:
             Accounting bucket for the busy time this job consumes.
+        done:
+            Completion target: any object with ``succeed()`` and
+            ``fail(exception)``.  The server calls exactly one of them,
+            at the point where it would trigger the done event.  The
+            default is a fresh :class:`~repro.des.events.Event`.
         """
         if demand < 0:
             raise ValueError("negative service demand {}".format(demand))
@@ -120,7 +125,8 @@ class Server:
             # Transient degradation window (fault injection): inflate
             # the service requirement of jobs submitted inside it.
             demand = demand * self._scale
-        done = Event(self.env)
+        if done is None:
+            done = Event(self.env)
         job = _Job(demand, priority, tag, next(self._seq), done, self.env.now)
         self._demand_total[tag] += demand
         current = self._current
@@ -283,7 +289,7 @@ class Server:
     def fail_all(self, exception):
         """Kill the job in service and every queued job (a crash).
 
-        Each killed job's done event fails with *exception*, so waiting
+        Each killed job's done target fails with *exception*, so waiting
         processes receive it at their yield point.  Busy time already
         delivered to the in-service job stays credited (the device was
         genuinely busy until the instant of the crash).  Returns the

@@ -67,11 +67,13 @@ class Processor:
         """Bring the node back up (it restarts with empty queues)."""
         self.up = True
 
-    def _down_event(self):
-        """An event that fails with :class:`ProcessorDown` immediately."""
-        event = Event(self.env)
-        event.fail(ProcessorDown(self.index))
-        return event
+    def _fail_now(self, done):
+        """Fail *done* (a fresh event when ``None``) with
+        :class:`ProcessorDown` at the current instant."""
+        if done is None:
+            done = Event(self.env)
+        done.fail(ProcessorDown(self.index))
+        return done
 
     def lock_work(self, cpu_demand, io_demand):
         """Submit this node's share of a lock request's processing.
@@ -91,17 +93,23 @@ class Processor:
             return events[0]
         return self.env.all_of(events)
 
-    def io(self, demand):
-        """Queue transaction I/O on this node's disk."""
-        if not self.up:
-            return self._down_event()
-        return self.disk.submit(demand, TXN_PRIORITY, TXN_TAG)
+    def io(self, demand, done=None):
+        """Queue transaction I/O on this node's disk.
 
-    def compute(self, demand):
-        """Queue transaction CPU work on this node's processor."""
+        *done* is the completion target passed on to
+        :meth:`~repro.des.server.Server.submit` (a fresh event when
+        ``None``); a down node fails it at once.
+        """
         if not self.up:
-            return self._down_event()
-        return self.cpu.submit(demand, TXN_PRIORITY, TXN_TAG)
+            return self._fail_now(done)
+        return self.disk.submit(demand, TXN_PRIORITY, TXN_TAG, done)
+
+    def compute(self, demand, done=None):
+        """Queue transaction CPU work on this node's processor (*done*
+        as for :meth:`io`)."""
+        if not self.up:
+            return self._fail_now(done)
+        return self.cpu.submit(demand, TXN_PRIORITY, TXN_TAG, done)
 
     # -- accounting ------------------------------------------------------
 

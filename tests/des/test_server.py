@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, Server, SimulationError
+from repro.des import Environment, Event, Server, SimulationError
 
 
 def run_until(env, event):
@@ -179,6 +179,93 @@ class TestFailAll:
         env.run()
         assert ("c", "done", 6.0) in outcomes
         assert server.jobs_served("c") == 1
+
+
+class _Relay:
+    """A completion target that, like a done event, takes effect one
+    heap entry after the server triggers it."""
+
+    def __init__(self, env, log, label):
+        self.env = env
+        self.log = log
+        self.label = label
+        self.calls = []
+
+    def succeed(self):
+        self.calls.append(("succeed", self.env.now))
+        self.env.schedule_callback(
+            lambda: self.log.append((self.label, self.env.now))
+        )
+
+    def fail(self, exception):
+        self.calls.append(("fail", exception, self.env.now))
+
+
+def _event_target(env, log, label):
+    done = Event(env)
+    done.callbacks.append(lambda _e: log.append((label, env.now)))
+    return done
+
+
+class TestCompletionTarget:
+    """``submit(done=...)`` triggers the target where it would trigger
+    the done event."""
+
+    @staticmethod
+    def _preemption_then_tie(env, make_target):
+        # The victim is preempted at t=1 and resumes at t=2, to finish
+        # at t=4.  Rivals also fire at t=4: one scheduled before the
+        # victim's completion (at t=0), one after it (at t=2, once the
+        # intruder is done), and one scheduled by the latter at t=4,
+        # after the done event.  The done event lands between them.
+        log = []
+        server = Server(env)
+        victim = make_target(env, log, "victim")
+        assert server.submit(3, priority=1, tag="txn", done=victim) is victim
+        env.timeout(4).callbacks.append(lambda _e: log.append(("early", env.now)))
+
+        def intruder(env):
+            yield env.timeout(1)
+            yield server.submit(1, priority=0, tag="lock")
+            log.append(("intruder", env.now))
+            yield env.timeout(2)
+            log.append(("late", env.now))
+            env.schedule_callback(lambda: log.append(("after", env.now)))
+
+        env.process(intruder(env))
+        env.run()
+        return log, server
+
+    def test_target_succeeds_where_the_done_event_would(self):
+        expected = [
+            ("intruder", 2.0), ("early", 4.0), ("late", 4.0), ("victim", 4.0),
+            ("after", 4.0),
+        ]
+        with_event, _ = self._preemption_then_tie(Environment(), _event_target)
+        env = Environment()
+        with_target, server = self._preemption_then_tie(env, _Relay)
+        assert with_event == expected
+        assert with_target == expected
+        assert server.busy_time("txn") == pytest.approx(3.0)
+        assert server.jobs_served("txn") == 1
+
+    def test_fail_all_fails_every_target(self, env):
+        server = Server(env)
+        log = []
+        in_service = _Relay(env, log, "a")
+        queued = _Relay(env, log, "b")
+        server.submit(4.0, done=in_service)
+        server.submit(4.0, done=queued)
+        crash = RuntimeError("crash")
+        killed = []
+        env.schedule_callback(lambda: killed.append(server.fail_all(crash)), 1.0)
+        env.run()
+        assert killed == [2]
+        assert in_service.calls == [("fail", crash, 1.0)]
+        assert queued.calls == [("fail", crash, 1.0)]
+        # The stale completion of the killed job succeeds nothing.
+        assert log == []
+        assert server.jobs_served() == 0
 
 
 class TestAccounting:

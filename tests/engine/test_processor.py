@@ -2,7 +2,21 @@
 
 import pytest
 
-from repro.engine.processor import LOCK_TAG, TXN_TAG, Processor
+from repro.engine.processor import LOCK_TAG, TXN_TAG, Processor, ProcessorDown
+
+
+class _Target:
+    """Records the calls a completion target receives, with the time."""
+
+    def __init__(self, env):
+        self.env = env
+        self.calls = []
+
+    def succeed(self):
+        self.calls.append(("succeed", self.env.now))
+
+    def fail(self, exception):
+        self.calls.append(("fail", exception, self.env.now))
 
 
 class TestProcessor:
@@ -86,3 +100,29 @@ class TestProcessor:
         assert node.cpu_busy(TXN_TAG) == pytest.approx(2.0)
         assert node.cpu_busy(LOCK_TAG) == pytest.approx(1.0)
         assert node.cpu_busy() == pytest.approx(3.0)
+
+
+class TestCompletionTargets:
+    @pytest.mark.parametrize("work", ["io", "compute"])
+    def test_down_node_fails_the_target_at_once(self, env, work):
+        node = Processor(env, 2)
+        env.run(until=5.0)
+        node.crash()
+        target = _Target(env)
+        assert getattr(node, work)(1.0, done=target) is target
+        # Failed synchronously, at the current instant, before any
+        # event is dispatched.
+        [(call, down, when)] = target.calls
+        assert (call, when) == ("fail", 5.0)
+        assert isinstance(down, ProcessorDown)
+        assert down.index == 2
+        assert node.disk.jobs_served() == node.cpu.jobs_served() == 0
+
+    @pytest.mark.parametrize("work, server", [("io", "disk"), ("compute", "cpu")])
+    def test_up_node_hands_the_target_to_its_server(self, env, work, server):
+        node = Processor(env, 0)
+        target = _Target(env)
+        getattr(node, work)(2.0, done=target)
+        env.run()
+        assert target.calls == [("succeed", 2.0)]
+        assert getattr(node, server).busy_time(TXN_TAG) == pytest.approx(2.0)
