@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
 from time import perf_counter
+from types import FunctionType, MethodType
 from typing import Dict, Optional
 
 from repro.des.errors import (
@@ -128,10 +129,19 @@ class Environment:
         processed.  This is the zero-allocation path for internal
         wakeups that nothing ever waits on (e.g. server completion
         segments): one heap tuple instead of an Event, its callback
-        list and a closure per callback.  The callable must not have a
-        ``callbacks`` attribute (plain functions, closures and bound
-        methods never do).
+        list and a closure per callback.  *fn* must be a plain
+        function, a lambda or a bound method: the run loop recognises
+        a bare callback by exactly those two classes, so anything else
+        (an :class:`Event`, a callable instance, a
+        :func:`functools.partial`) raises :class:`TypeError` here
+        rather than being dispatched as the wrong kind of entry.
         """
+        cls = fn.__class__
+        if cls is not FunctionType and cls is not MethodType:
+            raise TypeError(
+                "schedule_callback needs a function or bound method, "
+                "got {}".format(cls.__name__)
+            )
         if delay < 0:
             raise ValueError("negative delay {}".format(delay))
         heappush(
@@ -196,14 +206,14 @@ class Environment:
         except IndexError:
             raise EmptySchedule("no scheduled events") from None
         self._now = when
-        if event.__class__ is Process and event._target is _TICK:
+        cls = event.__class__
+        if cls is FunctionType or cls is MethodType:
+            event()  # a bare callback, not an Event
+            return
+        if cls is Process and event._target is _TICK:
             self._tick(event, eid)
             return
-        try:
-            callbacks = event.callbacks
-        except AttributeError:  # a bare callback, not an Event
-            event()
-            return
+        callbacks = event.callbacks
         event.callbacks = None
         waiter = event._waiter
         if waiter is not None:
@@ -218,9 +228,12 @@ class Environment:
         """The hot loop: pop-and-dispatch until *stop_at* is passed.
 
         This is :meth:`step` inlined (no per-event method call), with
-        the tick, bare-callback and single-waiter fast paths folded in.
-        The dispatch count lives in a local and is folded into the
-        instance counter once on exit.
+        the bare-callback, tick and single-waiter fast paths folded in.
+        Each entry is told apart by its class, read once: bare
+        callbacks (most entries in a model run) are tested first, so
+        they cost two identity checks and no exception.  The dispatch
+        count lives in a local and is folded into the instance counter
+        once on exit.
         """
         heap = self._heap
         nexteid = self._eid.__next__
@@ -231,7 +244,10 @@ class Environment:
                 when, _, eid, event = heappop(heap)
                 self._now = when
                 dispatched += 1
-                if event.__class__ is Process and event._target is _TICK:
+                cls = event.__class__
+                if cls is FunctionType or cls is MethodType:
+                    event()  # a bare callback, not an Event
+                elif cls is Process and event._target is _TICK:
                     # Tick fast path: the process sleeps on a bare
                     # delay, so resume the generator directly — no
                     # event object, no callback list.
@@ -259,20 +275,16 @@ class Environment:
                     # else: stale tick — an interrupt resumed the
                     # process first; the entry is dropped silently.
                 else:
-                    try:
-                        callbacks = event.callbacks
-                    except AttributeError:  # a bare callback, not an Event
-                        event()
-                    else:
-                        event.callbacks = None
-                        waiter = event._waiter
-                        if waiter is not None:
-                            event._waiter = None
-                            waiter(event)
-                        for callback in callbacks:
-                            callback(event)
-                        if not event._ok and not event._defused:
-                            raise event._value
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    waiter = event._waiter
+                    if waiter is not None:
+                        event._waiter = None
+                        waiter(event)
+                    for callback in callbacks:
+                        callback(event)
+                    if not event._ok and not event._defused:
+                        raise event._value
                 if deadline is not None and not dispatched & 1023:
                     # The wall-clock guard is checked once every 1024
                     # events so the budget costs one masked compare
@@ -376,9 +388,9 @@ class ProfiledEnvironment(Environment):
     On top of the base dispatch counter it tracks the peak heap size,
     wall-clock seconds spent inside :meth:`run` (and therefore
     events/second), and how many events of each type were processed
-    (``Timeout``, ``Process``, ``Initialize``, ... — bare callbacks
-    scheduled through :meth:`Environment.schedule_callback` are
-    counted as ``Callback``).  That bookkeeping costs a few percent of
+    (``Timeout``, ``Process``, ``Initialize``, ... — bare callbacks,
+    from :meth:`Environment.schedule_callback` or the server's own
+    segment completions, are counted as ``Callback``).  That bookkeeping costs a few percent of
     raw event throughput, so it lives in a subclass and the production
     simulation keeps the plain kernel.
     """
@@ -391,27 +403,6 @@ class ProfiledEnvironment(Environment):
         self._type_counts = Counter()
         self._run_seconds = 0.0
 
-    def schedule(self, event, delay=0.0, priority=NORMAL):
-        """Schedule *event*, tracking the peak heap population."""
-        if delay < 0:
-            raise ValueError("negative delay {}".format(delay))
-        heap = self._heap
-        heappush(heap, (self._now + delay, priority, next(self._eid), event))
-        if len(heap) > self._heap_peak:
-            self._heap_peak = len(heap)
-
-    def schedule_callback(self, fn, delay=0.0, priority=NORMAL):
-        """Schedule a bare callback, tracking the peak heap population."""
-        super().schedule_callback(fn, delay, priority)
-        if len(self._heap) > self._heap_peak:
-            self._heap_peak = len(self._heap)
-
-    def schedule_tick(self, proc, delay):
-        """Schedule a bare-delay tick, tracking the peak heap population."""
-        super().schedule_tick(proc, delay)
-        if len(self._heap) > self._heap_peak:
-            self._heap_peak = len(self._heap)
-
     def step(self):
         """Process the next entry, counting it by event type."""
         try:
@@ -419,20 +410,20 @@ class ProfiledEnvironment(Environment):
         except IndexError:
             raise EmptySchedule("no scheduled events") from None
         self._now = when
-        if event.__class__ is Process and event._target is _TICK:
+        cls = event.__class__
+        if cls is FunctionType or cls is MethodType:
+            self._type_counts["Callback"] += 1
+            event()
+            return
+        if cls is Process and event._target is _TICK:
             # Bare-delay sleeps dispatch the process itself; count them
             # under their own label (stale ticks included — they cost a
             # dispatch slot just like an orphaned Timeout would).
             self._type_counts["Tick"] += 1
             self._tick(event, eid)
             return
-        try:
-            callbacks = event.callbacks
-        except AttributeError:
-            self._type_counts["Callback"] += 1
-            event()
-            return
-        self._type_counts[type(event).__name__] += 1
+        self._type_counts[cls.__name__] += 1
+        callbacks = event.callbacks
         event.callbacks = None
         waiter = event._waiter
         if waiter is not None:
@@ -444,15 +435,26 @@ class ProfiledEnvironment(Environment):
             raise event._value
 
     def _dispatch(self, stop_at, timeout):
-        """Counted loop over :meth:`step` (slower, fully profiled)."""
+        """Counted loop over :meth:`step` (slower, fully profiled).
+
+        The peak heap population is sampled here rather than at every
+        push: entries are only removed by the pop that starts a step,
+        so the heap is at its largest before the first step and at the
+        end of each one.  That also covers entries pushed straight onto
+        the heap without a ``schedule*`` call (the server's segment
+        completions).
+        """
         heap = self._heap
         step = self.step
         deadline = None if timeout is None else perf_counter() + timeout
         dispatched = 0
+        peak = max(self._heap_peak, len(heap))
         try:
             while heap and heap[0][0] <= stop_at:
                 step()
                 dispatched += 1
+                if len(heap) > peak:
+                    peak = len(heap)
                 if deadline is not None and not dispatched & 1023:
                     if perf_counter() >= deadline:
                         raise SimulationStalled(
@@ -466,6 +468,8 @@ class ProfiledEnvironment(Environment):
                         )
         finally:
             self._dispatched += dispatched
+            # A step that raised may still have pushed entries.
+            self._heap_peak = max(peak, len(heap))
 
     def run(self, until=None, timeout=None):
         """Run as the base class does, accumulating wall-clock time."""
@@ -483,7 +487,7 @@ class ProfiledEnvironment(Environment):
         return KernelStats(
             events_dispatched=self._dispatched,
             heap_length=len(self._heap),
-            heap_peak=self._heap_peak,
+            heap_peak=max(self._heap_peak, len(self._heap)),
             run_seconds=self._run_seconds,
             events_per_second=rate,
             event_type_counts=dict(self._type_counts),

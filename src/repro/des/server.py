@@ -24,7 +24,7 @@ from collections import defaultdict
 from itertools import count
 
 from repro.des.errors import SimulationError
-from repro.des.events import Event
+from repro.des.events import NORMAL, Event
 
 #: Tolerance when deciding that a preempted job had actually finished.
 _EPSILON = 1e-12
@@ -127,7 +127,7 @@ class Server:
             demand = demand * self._scale
         if done is None:
             done = Event(self.env)
-        job = _Job(demand, priority, tag, next(self._seq), done, self.env.now)
+        job = _Job(demand, priority, tag, next(self._seq), done, self.env._now)
         self._demand_total[tag] += demand
         current = self._current
         if current is not None:
@@ -327,8 +327,10 @@ class Server:
         return (job.priority, job.remaining, job.seq)
 
     def _start(self, job):
+        env = self.env
+        now = env._now
         self._current = job
-        self._segment_start = self.env.now
+        self._segment_start = now
         self._token += 1
         # Per-segment completions are the server's hottest allocation
         # site (every preemption reschedules one); a bare callback
@@ -336,14 +338,23 @@ class Server:
         # its callback list.  The captured token keeps the
         # stale-completion guard: a preemption or crash bumps
         # self._token, and the out-of-date callback is ignored by
-        # _on_complete when it eventually fires.
-        self.env.schedule_callback(
-            lambda t=self._token: self._on_complete(t), job.remaining
+        # _on_complete when it eventually fires.  The entry is pushed
+        # here exactly as Environment.schedule_callback would push it
+        # (same time, priority and eid), without that call's frame and
+        # checks: a job's remaining demand is never negative.
+        heapq.heappush(
+            env._heap,
+            (
+                now + job.remaining,
+                NORMAL,
+                next(env._eid),
+                lambda t=self._token: self._on_complete(t),
+            ),
         )
 
     def _preempt(self):
         job = self._current
-        elapsed = self.env.now - self._segment_start
+        elapsed = self.env._now - self._segment_start
         self._credit(job.tag, elapsed)
         job.remaining -= elapsed
         self._token += 1  # invalidate the scheduled completion
@@ -361,7 +372,7 @@ class Server:
         if token != self._token or self._current is None:
             return  # stale completion from before a preemption
         job = self._current
-        self._credit(job.tag, self.env.now - self._segment_start)
+        self._credit(job.tag, self.env._now - self._segment_start)
         self._current = None
         self._finish(job)
         self._dispatch_next()

@@ -1,5 +1,7 @@
 """Bare-callback scheduling and schedule() delay validation."""
 
+import functools
+
 import pytest
 
 from repro.des import ProfiledEnvironment
@@ -66,6 +68,54 @@ class TestScheduleCallback:
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValueError, match="negative delay"):
             env.schedule_callback(lambda: None, -0.5)
+
+
+class _Callable:
+    def __init__(self, seen):
+        self.seen = seen
+
+    def __call__(self):
+        self.seen.append("instance")
+
+    def method(self):
+        self.seen.append("method")
+
+
+def _function(seen):
+    seen.append("function")
+
+
+class TestCallbackContract:
+    """Only functions, lambdas and bound methods may be scheduled: the
+    run loop recognises a bare callback by exactly those classes."""
+
+    def test_functions_lambdas_and_bound_methods_accepted(self, env):
+        seen = []
+        env.schedule_callback(lambda: _function(seen), 1.0)
+        env.schedule_callback(_Callable(seen).method, 2.0)
+        event = Event(env)
+        event.callbacks.append(lambda _ev: seen.append("event"))
+        env.schedule_callback(event.succeed, 3.0)
+        env.run()
+        assert seen == ["function", "method", "event"]
+        assert env.events_dispatched == 4
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda env, seen: Event(env),
+            lambda env, seen: _Callable(seen),
+            lambda env, seen: functools.partial(_function, seen),
+        ],
+        ids=["event", "callable-instance", "partial"],
+    )
+    def test_other_callables_rejected_at_schedule_time(self, env, make):
+        seen = []
+        with pytest.raises(TypeError, match="function or bound method"):
+            env.schedule_callback(make(env, seen), 1.0)
+        assert env.heap_depth == 0
+        env.run()
+        assert seen == []
 
 
 class TestScheduleValidation:

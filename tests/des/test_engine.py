@@ -1,9 +1,15 @@
 """Unit tests for the environment / run loop."""
 
+import os
+import sys
+
 import pytest
 
-from repro.des import Environment, ProfiledEnvironment
+from repro import LockingGranularityModel
+from repro.des import Environment, ProfiledEnvironment, Server
+from repro.des import engine
 from repro.des.errors import EmptySchedule, SimulationError
+from tests.core.test_subtransactions import PINS
 
 
 class TestClock:
@@ -208,6 +214,72 @@ class TestProfiledEnvironment:
             return log, env.now
 
         assert workload(Environment()) == workload(ProfiledEnvironment())
+
+    def test_heap_peak_counts_server_segment_completions(self):
+        """The server pushes its segment completions straight onto the
+        heap; the profiled peak must still equal the largest population
+        seen between steps."""
+
+        def preempting(env):
+            server = Server(env)
+            server.submit(10.0, priority=9)
+
+            def burst():
+                # Each arrival preempts the job in service, leaving its
+                # completion behind on the heap as a stale entry.
+                for priority in range(8, 2, -1):
+                    server.submit(0.5, priority=priority)
+
+            env.schedule_callback(burst, 1.0)
+            env.schedule_callback(burst, 2.0)
+
+        reference = Environment()
+        preempting(reference)
+        initial = len(reference._heap)
+        peak = initial
+        steps = 0
+        while reference._heap:
+            reference.step()
+            steps += 1
+            peak = max(peak, len(reference._heap))
+        assert peak > initial
+
+        env = ProfiledEnvironment()
+        preempting(env)
+        env.run()
+        assert env.kernel_stats().heap_peak == peak
+        assert env.events_dispatched == steps
+
+
+class TestClassDispatch:
+    def test_no_attribute_error_per_dispatch(self):
+        """Entries are told apart by class: a Fig. 2 cell dispatches
+        thousands of bare callbacks without a single AttributeError
+        raised in the kernel, and its pinned dispatch count holds."""
+        params, plan, dispatched = PINS["fig2"]
+        des_dir = os.path.dirname(engine.__file__)
+        raised = []
+
+        def local(frame, event, arg):
+            if event == "exception" and issubclass(arg[0], AttributeError):
+                raised.append(frame.f_code.co_name)
+            return local
+
+        def calls(frame, event, arg):
+            if os.path.dirname(frame.f_code.co_filename) == des_dir:
+                frame.f_trace_lines = False
+                return local
+            return None
+
+        model = LockingGranularityModel(params, fault_plan=plan)
+        previous = sys.gettrace()
+        sys.settrace(calls)
+        try:
+            model.run()
+        finally:
+            sys.settrace(previous)
+        assert raised == []
+        assert model.env.events_dispatched == dispatched
 
 
 class TestDeterminism:
