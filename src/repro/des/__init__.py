@@ -30,7 +30,7 @@ Example
 [('fast', 1.0), ('slow', 2.0), ('fast', 2.0), ('fast', 3.0), ('slow', 4.0), ('fast', 4.0)]
 """
 
-from repro.des.engine import Environment, KernelStats, ProfiledEnvironment
+from repro.des.engine import Environment
 from repro.des.errors import Interrupt, SimulationError, StopSimulation
 from repro.des.events import AllOf, AnyOf, Event, Timeout
 from repro.des.monitor import Tally, TimeWeighted
@@ -45,9 +45,7 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "KernelStats",
     "Process",
-    "ProfiledEnvironment",
     "RandomStreams",
     "Server",
     "SimulationError",

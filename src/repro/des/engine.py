@@ -1,12 +1,9 @@
 """The simulation environment: clock, event scheduler, and run loop."""
 
-from collections import Counter
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
 from time import perf_counter
 from types import FunctionType, MethodType
-from typing import Dict, Optional
 
 from repro.des.errors import (
     EmptySchedule,
@@ -16,46 +13,6 @@ from repro.des.errors import (
 )
 from repro.des.events import NORMAL, AllOf, AnyOf, Event, Timeout
 from repro.des.process import _TICK, Process
-
-
-@dataclass
-class KernelStats:
-    """Self-profiling snapshot of one environment's run loop.
-
-    ``heap_peak``, ``run_seconds``, ``events_per_second`` and
-    ``event_type_counts`` are only populated by
-    :class:`ProfiledEnvironment`; the base environment keeps the hot
-    path free of that bookkeeping and reports ``None`` for them.
-    """
-
-    events_dispatched: int
-    heap_length: int
-    heap_peak: Optional[int] = None
-    run_seconds: Optional[float] = None
-    events_per_second: Optional[float] = None
-    event_type_counts: Optional[Dict[str, int]] = None
-
-    def as_dict(self):
-        """Plain dict with the unpopulated fields omitted.
-
-        Key order is fixed (declaration order) and the event-type
-        counts are sorted by type name, so two snapshots of the same
-        state serialise identically — the property the perf-regression
-        harness relies on when diffing ``BENCH_*.json`` files.
-        """
-        row = {
-            "events_dispatched": self.events_dispatched,
-            "heap_length": self.heap_length,
-        }
-        for name in ("heap_peak", "run_seconds", "events_per_second"):
-            value = getattr(self, name)
-            if value is not None:
-                row[name] = value
-        if self.event_type_counts is not None:
-            row["event_type_counts"] = dict(
-                sorted(self.event_type_counts.items())
-            )
-        return row
 
 
 class Environment:
@@ -87,7 +44,7 @@ class Environment:
 
     @property
     def events_dispatched(self):
-        """Events processed by :meth:`run` over this environment's life."""
+        """Heap entries processed by :meth:`step` and :meth:`run` so far."""
         return self._dispatched
 
     @property
@@ -99,13 +56,6 @@ class Environment:
     def heap_depth(self):
         """Events currently scheduled on the heap (cheap)."""
         return len(self._heap)
-
-    def kernel_stats(self):
-        """Current :class:`KernelStats` snapshot (cheap counters only)."""
-        return KernelStats(
-            events_dispatched=self._dispatched,
-            heap_length=self.heap_depth,
-        )
 
     # -- scheduling ----------------------------------------------------
 
@@ -165,28 +115,6 @@ class Environment:
         proc._tick_eid = eid
         heappush(self._heap, (self._now + delay, NORMAL, eid, proc))
 
-    def _tick(self, proc, eid):
-        """Resume a tick entry (slow path shared by :meth:`step`).
-
-        Mirrors the handling inlined in :meth:`_dispatch`: advance the
-        generator, then either requeue the next bare delay or hand any
-        other yield to :meth:`Process._resume`.
-        """
-        if proc._tick_eid != eid:
-            return  # stale: an interrupt already resumed the process
-        try:
-            delay = proc._generator.send(None)
-        except StopIteration as stop:
-            proc._finish_stop(stop)
-        except BaseException as error:
-            proc._finish_error(error)
-        else:
-            cls = delay.__class__
-            if cls is float or cls is int:
-                self.schedule_tick(proc, delay)
-            else:
-                proc._resume(None, delay)
-
     def peek(self):
         """Time of the next scheduled event, or ``inf`` if none."""
         if not self._heap:
@@ -206,12 +134,40 @@ class Environment:
         except IndexError:
             raise EmptySchedule("no scheduled events") from None
         self._now = when
+        self._dispatched += 1
         cls = event.__class__
         if cls is FunctionType or cls is MethodType:
             event()  # a bare callback, not an Event
-            return
-        if cls is Process and event._target is _TICK:
-            self._tick(event, eid)
+        else:
+            self._process(event, cls, eid)
+
+    def _process(self, event, cls, eid):
+        """Process one popped entry that is not a bare callback.
+
+        The single copy of the dispatch order for ticks and events,
+        shared by :meth:`step` and the hot loop of :meth:`_dispatch`.
+        A tick resumes its sleeping process directly (no event object,
+        no callback list) and requeues the next bare delay; any other
+        entry is an :class:`Event`, whose single waiter fires before
+        its listed callbacks.
+        """
+        if cls is Process and eid <= event._tick_eid:
+            # A tick entry: a process's own completion entry is pushed
+            # after its last tick, so it carries a larger eid.
+            if eid != event._tick_eid or event._target is not _TICK:
+                return  # stale: an interrupt already resumed the process
+            try:
+                delay = event._generator.send(None)
+            except StopIteration as stop:
+                event._finish_stop(stop)
+            except BaseException as error:
+                event._finish_error(error)
+            else:
+                dcls = delay.__class__
+                if dcls is float or dcls is int:
+                    self.schedule_tick(event, delay)
+                else:
+                    event._resume(None, delay)
             return
         callbacks = event.callbacks
         event.callbacks = None
@@ -227,16 +183,14 @@ class Environment:
     def _dispatch(self, stop_at, timeout):
         """The hot loop: pop-and-dispatch until *stop_at* is passed.
 
-        This is :meth:`step` inlined (no per-event method call), with
-        the bare-callback, tick and single-waiter fast paths folded in.
-        Each entry is told apart by its class, read once: bare
-        callbacks (most entries in a model run) are tested first, so
-        they cost two identity checks and no exception.  The dispatch
-        count lives in a local and is folded into the instance counter
-        once on exit.
+        Bare callbacks (most entries in a model run) are told apart by
+        their class and called inline, at the cost of two identity
+        checks; every other entry goes to :meth:`_process`.  The
+        dispatch count lives in a local and is folded into the instance
+        counter once on exit.
         """
         heap = self._heap
-        nexteid = self._eid.__next__
+        process = self._process
         deadline = None if timeout is None else perf_counter() + timeout
         dispatched = 0
         try:
@@ -247,44 +201,8 @@ class Environment:
                 cls = event.__class__
                 if cls is FunctionType or cls is MethodType:
                     event()  # a bare callback, not an Event
-                elif cls is Process and event._target is _TICK:
-                    # Tick fast path: the process sleeps on a bare
-                    # delay, so resume the generator directly — no
-                    # event object, no callback list.
-                    if event._tick_eid == eid:
-                        try:
-                            delay = event._generator.send(None)
-                        except StopIteration as stop:
-                            event._finish_stop(stop)
-                        except BaseException as error:
-                            event._finish_error(error)
-                        else:
-                            dcls = delay.__class__
-                            if dcls is float or dcls is int:
-                                if delay < 0:
-                                    raise ValueError(
-                                        "negative delay {}".format(delay)
-                                    )
-                                eid = nexteid()
-                                event._tick_eid = eid
-                                heappush(
-                                    heap, (when + delay, NORMAL, eid, event)
-                                )
-                            else:
-                                event._resume(None, delay)
-                    # else: stale tick — an interrupt resumed the
-                    # process first; the entry is dropped silently.
                 else:
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    waiter = event._waiter
-                    if waiter is not None:
-                        event._waiter = None
-                        waiter(event)
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
+                    process(event, cls, eid)
                 if deadline is not None and not dispatched & 1023:
                     # The wall-clock guard is checked once every 1024
                     # events so the budget costs one masked compare
@@ -293,11 +211,11 @@ class Environment:
                         raise SimulationStalled(
                             "wall-clock timeout ({}s) exhausted at "
                             "t={}".format(timeout, self._now),
-                            stats=KernelStats(
-                                events_dispatched=self._dispatched
+                            stats={
+                                "events_dispatched": self._dispatched
                                 + dispatched,
-                                heap_length=len(heap),
-                            ),
+                                "heap_length": len(heap),
+                            },
                         )
         finally:
             self._dispatched += dispatched
@@ -316,8 +234,9 @@ class Environment:
         timeout:
             Optional wall-clock budget in seconds.  When exceeded, the
             run stops with :class:`~repro.des.errors.SimulationStalled`
-            carrying a :class:`KernelStats` snapshot.  ``None`` (the
-            default) keeps the hot loop entirely guard-free.
+            carrying the kernel's dispatch count and heap length.
+            ``None`` (the default) keeps the hot loop entirely
+            guard-free.
 
         Raises
         ------
@@ -354,7 +273,10 @@ class Environment:
                     "an event that will never trigger".format(
                         self._now, stop_at, self._live_procs
                     ),
-                    stats=self.kernel_stats(),
+                    stats={
+                        "events_dispatched": self._dispatched,
+                        "heap_length": len(self._heap),
+                    },
                 )
             self._now = stop_at
         return None
@@ -380,118 +302,6 @@ class Environment:
     def any_of(self, events):
         """Race: event that succeeds when any of *events* succeeds."""
         return AnyOf(self, events)
-
-
-class ProfiledEnvironment(Environment):
-    """An :class:`Environment` with full kernel self-profiling.
-
-    On top of the base dispatch counter it tracks the peak heap size,
-    wall-clock seconds spent inside :meth:`run` (and therefore
-    events/second), and how many events of each type were processed
-    (``Timeout``, ``Process``, ``Initialize``, ... — bare callbacks,
-    from :meth:`Environment.schedule_callback` or the server's own
-    segment completions, are counted as ``Callback``).  That bookkeeping costs a few percent of
-    raw event throughput, so it lives in a subclass and the production
-    simulation keeps the plain kernel.
-    """
-
-    __slots__ = ("_heap_peak", "_type_counts", "_run_seconds")
-
-    def __init__(self, initial_time=0.0):
-        super().__init__(initial_time)
-        self._heap_peak = 0
-        self._type_counts = Counter()
-        self._run_seconds = 0.0
-
-    def step(self):
-        """Process the next entry, counting it by event type."""
-        try:
-            when, _, eid, event = heappop(self._heap)
-        except IndexError:
-            raise EmptySchedule("no scheduled events") from None
-        self._now = when
-        cls = event.__class__
-        if cls is FunctionType or cls is MethodType:
-            self._type_counts["Callback"] += 1
-            event()
-            return
-        if cls is Process and event._target is _TICK:
-            # Bare-delay sleeps dispatch the process itself; count them
-            # under their own label (stale ticks included — they cost a
-            # dispatch slot just like an orphaned Timeout would).
-            self._type_counts["Tick"] += 1
-            self._tick(event, eid)
-            return
-        self._type_counts[cls.__name__] += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        waiter = event._waiter
-        if waiter is not None:
-            event._waiter = None
-            waiter(event)
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            raise event._value
-
-    def _dispatch(self, stop_at, timeout):
-        """Counted loop over :meth:`step` (slower, fully profiled).
-
-        The peak heap population is sampled here rather than at every
-        push: entries are only removed by the pop that starts a step,
-        so the heap is at its largest before the first step and at the
-        end of each one.  That also covers entries pushed straight onto
-        the heap without a ``schedule*`` call (the server's segment
-        completions).
-        """
-        heap = self._heap
-        step = self.step
-        deadline = None if timeout is None else perf_counter() + timeout
-        dispatched = 0
-        peak = max(self._heap_peak, len(heap))
-        try:
-            while heap and heap[0][0] <= stop_at:
-                step()
-                dispatched += 1
-                if len(heap) > peak:
-                    peak = len(heap)
-                if deadline is not None and not dispatched & 1023:
-                    if perf_counter() >= deadline:
-                        raise SimulationStalled(
-                            "wall-clock timeout ({}s) exhausted at "
-                            "t={}".format(timeout, self._now),
-                            stats=KernelStats(
-                                events_dispatched=self._dispatched
-                                + dispatched,
-                                heap_length=len(heap),
-                            ),
-                        )
-        finally:
-            self._dispatched += dispatched
-            # A step that raised may still have pushed entries.
-            self._heap_peak = max(peak, len(heap))
-
-    def run(self, until=None, timeout=None):
-        """Run as the base class does, accumulating wall-clock time."""
-        started = perf_counter()
-        try:
-            return super().run(until, timeout=timeout)
-        finally:
-            self._run_seconds += perf_counter() - started
-
-    def kernel_stats(self):
-        """Full :class:`KernelStats` snapshot."""
-        rate = (
-            self._dispatched / self._run_seconds if self._run_seconds else None
-        )
-        return KernelStats(
-            events_dispatched=self._dispatched,
-            heap_length=len(self._heap),
-            heap_peak=max(self._heap_peak, len(self._heap)),
-            run_seconds=self._run_seconds,
-            events_per_second=rate,
-            event_type_counts=dict(self._type_counts),
-        )
 
 
 def _stop_on_event(event):

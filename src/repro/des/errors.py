@@ -34,13 +34,14 @@ class SimulationStalled(SimulationError):
     * the optional ``timeout=`` wall-clock budget was exhausted (a hung
       or pathologically slow run).
 
-    Carries a :class:`~repro.des.engine.KernelStats` snapshot in
-    :attr:`stats` so the failure is diagnosable post-mortem.
+    Carries the kernel's counters in :attr:`stats`, a dict with the
+    keys ``events_dispatched`` and ``heap_length``, so the failure is
+    diagnosable post-mortem.
     """
 
     def __init__(self, message, stats=None):
         if stats is not None:
-            message = "{} [kernel: {}]".format(message, stats.as_dict())
+            message = "{} [kernel: {}]".format(message, stats)
         super().__init__(message)
         self.stats = stats
 

@@ -66,9 +66,11 @@ class Process(Event):
         #: it, and ``self._resume`` would allocate a fresh bound method
         #: per access on the hottest path in the kernel.
         self._resume_cb = self._resume
-        #: Entry id of the pending tick (bare-delay sleep).  The
-        #: dispatcher skips tick entries whose eid no longer matches —
-        #: an interrupt resumed the process first, making them stale.
+        #: Entry id of the latest tick (bare-delay sleep).  Every tick
+        #: entry of this process has an eid at most this stamp, and its
+        #: completion entry a larger one.  The dispatcher resumes only
+        #: the tick whose eid matches while the process still sleeps;
+        #: the others are stale (an interrupt resumed the process first).
         self._tick_eid = -1
         env._live_procs += 1
         from repro.des.events import Initialize

@@ -14,8 +14,8 @@ Design rules, in priority order:
 2. **Disabled means free.**  A disabled registry hands every caller
    the same shared no-op instrument, and every instrumentation site in
    the model guards with a single ``is not None`` branch, so an
-   uninstrumented run pays nothing (measured by
-   ``benchmarks/bench_suite.py``).
+   uninstrumented run pays nothing; the cost of a subscribed run is
+   gated by ``benchmarks/metrics_overhead.py``.
 3. **The kernel inner loop is never instrumented.**  Kernel quantities
    (events dispatched, heap depth) are *polled* by
    registered collectors at snapshot/scrape time, costing zero inside

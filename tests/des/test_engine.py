@@ -6,9 +6,9 @@ import sys
 import pytest
 
 from repro import LockingGranularityModel
-from repro.des import Environment, ProfiledEnvironment, Server
+from repro.des import Environment, Server
 from repro.des import engine
-from repro.des.errors import EmptySchedule, SimulationError
+from repro.des.errors import EmptySchedule, Interrupt, SimulationError
 from tests.core.test_subtransactions import PINS
 
 
@@ -119,7 +119,7 @@ class TestNegativeDelays:
     @pytest.mark.parametrize("delays", [(-1.0,), (1.0, -1.0)])
     def test_negative_tick_rejected(self, env, delays):
         # The first bare yield is scheduled by the process itself; later
-        # ones by the run loop's inlined tick path.  Both must refuse.
+        # ones by the dispatcher's tick requeue.  Both must refuse.
         def sleeper():
             for delay in delays:
                 yield delay
@@ -135,9 +135,7 @@ class TestKernelStats:
             env.timeout(1.0)
         env.run()
         assert env.events_dispatched == 5
-        stats = env.kernel_stats()
-        assert stats.events_dispatched == 5
-        assert stats.heap_length == 0
+        assert env.heap_depth == 0
 
     def test_dispatch_counter_accumulates_across_runs(self, env):
         env.timeout(1.0)
@@ -146,109 +144,79 @@ class TestKernelStats:
         env.run()
         assert env.events_dispatched == 2
 
-    def test_base_environment_omits_expensive_fields(self, env):
-        stats = env.kernel_stats()
-        assert stats.heap_peak is None
-        assert stats.event_type_counts is None
-        assert stats.as_dict() == {
-            "events_dispatched": 0, "heap_length": 0,
-        }
-
     def test_unprocessed_events_remain_in_heap_length(self, env):
         env.timeout(1.0)
         env.timeout(10.0)
         env.run(until=5.0)
-        stats = env.kernel_stats()
-        assert stats.events_dispatched == 1
-        assert stats.heap_length == 1
+        assert env.events_dispatched == 1
+        assert env.heap_depth == 1
 
 
-class TestProfiledEnvironment:
-    def test_heap_peak_tracks_maximum_population(self):
-        env = ProfiledEnvironment()
-        for _ in range(7):
-            env.timeout(1.0)
-        env.run()
-        stats = env.kernel_stats()
-        assert stats.heap_peak == 7
-        assert stats.heap_length == 0
+class TestStepMatchesRun:
+    def test_step_and_run_dispatch_identically(self):
+        """Repeated step() and one run() share the dispatch order, and
+        both count every entry they pop, stale ticks included."""
 
-    def test_event_type_counts(self):
-        env = ProfiledEnvironment()
-
-        def proc(env):
-            yield env.timeout(1.0)
-            yield env.timeout(1.0)
-
-        env.process(proc(env))
-        env.run()
-        counts = env.kernel_stats().event_type_counts
-        assert counts["Timeout"] == 2
-        assert counts["Initialize"] == 1
-        assert counts["Process"] == 1
-        assert env.events_dispatched == sum(counts.values())
-
-    def test_run_seconds_and_rate_populated(self):
-        env = ProfiledEnvironment()
-        for _ in range(100):
-            env.timeout(1.0)
-        env.run()
-        stats = env.kernel_stats()
-        assert stats.run_seconds > 0
-        assert stats.events_per_second > 0
-        row = stats.as_dict()
-        assert "heap_peak" in row and "event_type_counts" in row
-
-    def test_profiled_run_matches_plain_run(self):
         def workload(env):
             log = []
-
-            def proc(env, name):
-                for _ in range(3):
-                    yield env.timeout(1.5)
-                    log.append((name, env.now))
-
-            env.process(proc(env, "a"))
-            env.process(proc(env, "b"))
-            env.run()
-            return log, env.now
-
-        assert workload(Environment()) == workload(ProfiledEnvironment())
-
-    def test_heap_peak_counts_server_segment_completions(self):
-        """The server pushes its segment completions straight onto the
-        heap; the profiled peak must still equal the largest population
-        seen between steps."""
-
-        def preempting(env):
             server = Server(env)
-            server.submit(10.0, priority=9)
+
+            def note(label):
+                return lambda event: log.append((label, env.now, event.ok))
+
+            def sleeper():
+                try:
+                    while True:
+                        yield 1.5  # bare-delay tick
+                        log.append(("tick", env.now))
+                except Interrupt as interrupt:
+                    log.append(("interrupted", env.now, interrupt.cause))
+                yield 0.25
+                log.append(("slept", env.now))
+
+            def timed():
+                for _ in range(3):
+                    yield env.timeout(1.0)
+                    log.append(("timeout", env.now))
+                failed = env.event()
+                failed.callbacks.append(note("failed"))
+                failed.fail(RuntimeError("defused"))
+                failed.defuse()
 
             def burst():
                 # Each arrival preempts the job in service, leaving its
                 # completion behind on the heap as a stale entry.
-                for priority in range(8, 2, -1):
-                    server.submit(0.5, priority=priority)
+                for priority in (8, 5, 2):
+                    server.submit(0.5, priority=priority).callbacks.append(
+                        note("job{}".format(priority))
+                    )
 
+            victim = env.process(sleeper())
+            env.process(timed())
+            server.submit(10.0, priority=9).callbacks.append(note("long"))
             env.schedule_callback(burst, 1.0)
-            env.schedule_callback(burst, 2.0)
+            # The sleeper's tick due at 3.0 goes stale.
+            env.schedule_callback(lambda: victim.interrupt("stop"), 2.0)
+            env.schedule_callback(lambda: log.append(("callback", env.now)), 2.5)
+            return log
 
-        reference = Environment()
-        preempting(reference)
-        initial = len(reference._heap)
-        peak = initial
+        stepped = Environment()
+        stepped_log = workload(stepped)
         steps = 0
-        while reference._heap:
-            reference.step()
+        while stepped.peek() != float("inf"):
+            stepped.step()
             steps += 1
-            peak = max(peak, len(reference._heap))
-        assert peak > initial
 
-        env = ProfiledEnvironment()
-        preempting(env)
-        env.run()
-        assert env.kernel_stats().heap_peak == peak
-        assert env.events_dispatched == steps
+        ran = Environment()
+        ran_log = workload(ran)
+        ran.run()
+
+        assert stepped_log == ran_log
+        assert ("interrupted", 2.0, "stop") in ran_log
+        assert ("failed", 3.0, False) in ran_log
+        assert stepped.now == ran.now
+        assert stepped.events_dispatched == steps
+        assert ran.events_dispatched == steps
 
 
 class TestClassDispatch:

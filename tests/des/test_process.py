@@ -163,6 +163,35 @@ class TestInterrupt:
         env.run()
         assert resumed == ["interrupt", "second-wait"]
 
+    @pytest.mark.parametrize("then", ["return", "wait"])
+    def test_stale_tick_after_the_process_moved_on(self, env, then):
+        """A bare-delay sleep cut short by an interrupt leaves its tick
+        on the heap.  When that tick comes due after the process has
+        finished, or while it waits on an event, it is dropped: the
+        process neither resumes nor completes a second time."""
+
+        def victim(env):
+            try:
+                yield 10.0
+            except Interrupt:
+                pass
+            if then == "wait":
+                yield env.timeout(20.0)
+            return env.now
+
+        process = env.process(victim(env))
+        env.schedule_callback(process.interrupt, 1.0)
+
+        def joiner(env):
+            value = yield process
+            return (value, env.now)
+
+        joined = env.process(joiner(env))
+        expected = 21.0 if then == "wait" else 1.0
+        assert env.run(until=joined) == (expected, expected)
+        env.run()
+        assert env.now == (21.0 if then == "wait" else 10.0)
+
 
 class TestForkJoin:
     def test_all_of_over_processes(self, env):

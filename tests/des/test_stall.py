@@ -27,7 +27,12 @@ class TestWallClockTimeout:
             env.run(until=1e12, timeout=0.01)
         stats = excinfo.value.stats
         assert stats is not None
-        assert stats.events_dispatched > 0
+        assert stats["events_dispatched"] > 0
+        assert str(excinfo.value).endswith(
+            "[kernel: {{'events_dispatched': {}, 'heap_length': {}}}]".format(
+                stats["events_dispatched"], stats["heap_length"]
+            )
+        )
 
     def test_generous_timeout_does_not_fire(self, env):
         done = []
@@ -82,14 +87,3 @@ class TestDryHeapDetection:
         env.process(_waiter(env, env.event()))
         env.run()  # no `until`: drains and returns
         assert env.live_process_count == 1
-
-
-class TestProfiledEnvironment:
-    def test_profiled_run_honours_timeout(self):
-        from repro.des.engine import ProfiledEnvironment
-
-        env = ProfiledEnvironment()
-        env.process(_spinner(env))
-        with pytest.raises(SimulationStalled):
-            env.run(timeout=0.01)
-        assert env.kernel_stats().run_seconds > 0
