@@ -16,9 +16,10 @@ Layers
     Lock modes (S, X and the intention modes IS, IX, SIX) and their
     compatibility matrix.
 :mod:`repro.lockmgr.table`
-    The lock table proper: a light ``(owner, mode, seq)`` entry per
-    granule held by one owner, and holder sets with FIFO wait queues
-    where a second request reaches a granule.
+    The lock table proper: one dict from granule to a light
+    ``(owner, mode, seq)`` entry while one owner holds it, replaced in
+    place by holder sets with a FIFO wait queue once a second request
+    reaches the granule.
 :mod:`repro.lockmgr.manager`
     :class:`LockManager` — preclaim (all-or-nothing) and incremental
     acquisition protocols over the table, with callback-based grants so

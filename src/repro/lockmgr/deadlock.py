@@ -14,26 +14,17 @@ class WaitsForGraph:
     """A minimal waits-for digraph (waiter → holder adjacency map)."""
 
     def __init__(self, edges=()):
-        self.nodes = set()
         self._succ = {}
-        self._rank = {}
         for waiter, holder in edges:
             self.add_edge(waiter, holder)
 
     def add_edge(self, waiter, holder):
         """Record that *waiter* blocks on *holder*."""
-        for node in (waiter, holder):
-            if node not in self._rank:
-                self._rank[node] = len(self._rank)
-                self.nodes.add(node)
         self._succ.setdefault(waiter, []).append(holder)
 
     def successors(self, node):
         """Owners that *node* waits on (empty tuple when none)."""
         return tuple(self._succ.get(node, ()))
-
-    def __len__(self):
-        return len(self.nodes)
 
     def find_cycle(self):
         """One cycle as a list of owners, or ``None``.
@@ -69,39 +60,6 @@ class WaitsForGraph:
                     stack.pop()
         return None
 
-    def simple_cycles(self):
-        """Every elementary cycle (lists of owners).
-
-        A pared-down Johnson-style enumeration: for each start node (in
-        insertion order), DFS over nodes whose rank is not lower than
-        the start's, emitting each path that closes back on the start.
-        Rooting every cycle at its lowest-ranked member reports each
-        elementary cycle exactly once.
-        """
-        rank = self._rank
-        cycles = []
-        for start in sorted(self._succ, key=rank.__getitem__):
-            path = [start]
-            on_path = {start}
-            stack = [iter(self.successors(start))]
-            while stack:
-                advanced = False
-                for nxt in stack[-1]:
-                    if nxt == start:
-                        cycles.append(list(path))
-                        continue
-                    if nxt in on_path or rank[nxt] < rank[start]:
-                        continue
-                    path.append(nxt)
-                    on_path.add(nxt)
-                    stack.append(iter(self.successors(nxt)))
-                    advanced = True
-                    break
-                if not advanced:
-                    on_path.discard(path.pop())
-                    stack.pop()
-        return cycles
-
 
 class DeadlockDetector:
     """Finds waits-for cycles and picks victims to break them.
@@ -128,10 +86,6 @@ class DeadlockDetector:
     def find_cycle(self):
         """One deadlock cycle as a list of owners, or ``None``."""
         return self.graph().find_cycle()
-
-    def find_all_cycles(self):
-        """Every simple waits-for cycle (lists of owners)."""
-        return self.graph().simple_cycles()
 
     def choose_victim(self, cycle):
         """The owner in *cycle* with the largest victim key."""

@@ -201,9 +201,8 @@ class LockManager:
             held.discard(granule)
             if not held:
                 del self._held[owner]
-        self.table.revoke(granule, owner)
-        state = self.table.peek(granule)
-        if state is None or not state.waiters:
+        state = self.table.revoke(granule, owner)
+        if state is None:
             return []
         return self._promote(granule, state)
 
@@ -216,18 +215,9 @@ class LockManager:
         held = self._held.pop(owner, None)
         if held is None:
             return []
-        light = self.table.light
-        states = self.table.states
         granted = []
-        for granule in held:
-            if light.pop(granule, None) is not None:
-                continue
-            state = states[granule]
-            del state.holders[owner]
-            if state.waiters:
-                granted.extend(self._promote(granule, state))
-            elif not state.holders:
-                del states[granule]
+        for granule, state in self.table.revoke_all(owner, held):
+            granted.extend(self._promote(granule, state))
         return granted
 
     # -- introspection -------------------------------------------------
@@ -294,7 +284,7 @@ class LockManager:
                     raise AssertionError(
                         "waiters without holders on {!r}".format(granule)
                     )
-                waited[granule] = self.table.states[granule]
+                waited[granule] = self.table.peek(granule)
         if holders != self._held:
             raise AssertionError(
                 "held sets {!r} do not mirror the table {!r}".format(

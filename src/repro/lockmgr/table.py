@@ -1,4 +1,4 @@
-"""The lock table: light single-holder entries and full granule states."""
+"""The lock table: one entry per locked granule, light or full."""
 
 from collections import deque
 
@@ -16,8 +16,7 @@ class GranuleState:
         FIFO of pending :class:`~repro.lockmgr.manager.LockRequest`.
     seq:
         Creation number assigned by the owning :class:`LockTable`
-        (kept from the light entry the state replaced); entries
-        sorted by it come out in the order their granules were locked.
+        (kept from the light entry the state replaced).
     """
 
     __slots__ = ("holders", "waiters", "seq")
@@ -40,7 +39,7 @@ class GranuleState:
 
 
 class LockTable:
-    """A hash table of granule lock states.
+    """A hash table of granule lock entries.
 
     Granules are identified by arbitrary hashable ids.  Entries are
     created lazily and discarded when both holder and waiter sets
@@ -48,61 +47,52 @@ class LockTable:
     the in-memory analogue of the paper's observation that fine
     granularity needs big lock tables.
 
-    A granule lives in exactly one of two dicts:
+    One dict maps each locked granule to either
 
-    ``light``
-        granule → ``(owner, mode, seq)`` for a granule held by one
-        owner that nobody else has touched.  A fresh grant writes one
-        of these; most granules never need more.
-    ``states``
-        granule → :class:`GranuleState` for a granule that a second
-        request reached (another owner, or the holder again).
-        :meth:`materialise` turns a light entry into a state with the
-        same ``seq`` and the light holder first.
+    * a light ``(owner, mode, seq)`` tuple, for a granule held by one
+      owner that nobody else has touched.  A fresh grant writes one of
+      these; most granules never need more; or
+    * a :class:`GranuleState`, for a granule that a second request
+      reached (another owner, or the holder again).
+      :meth:`materialise` replaces the tuple in place by a state with
+      the same ``seq`` and the light holder first.
 
     Every entry takes the next creation number ``seq`` when it is
-    created, so sorting entries of both kinds by ``seq`` gives the
-    order in which the granules were (last) locked.  Only this class
-    builds or reads the light-entry tuples;
+    created and keeps it until it is discarded, so the dict's own
+    order is creation order.  Only this class builds or reads the
+    light tuples or the dict;
     :class:`~repro.lockmgr.manager.LockManager` grants through
-    :meth:`claim` and :meth:`grant_free`, and its ``release_all``
-    pops both dicts directly.
+    :meth:`claim` and :meth:`grant_free` and releases through
+    :meth:`revoke` and :meth:`revoke_all`.
     """
 
     def __init__(self):
-        self.states = {}
-        self.light = {}
+        #: granule -> ``(owner, mode, seq)`` or :class:`GranuleState`.
+        self._entries = {}
         #: The next creation number.
         self.created = 0
 
     def __len__(self):
-        return len(self.states) + len(self.light)
+        return len(self._entries)
 
     def __contains__(self, granule):
-        return granule in self.states or granule in self.light
+        return granule in self._entries
 
     def state(self, granule):
         """The :class:`GranuleState` for *granule*, created if absent."""
-        state = self.states.get(granule)
-        if state is not None:
-            return state
-        if granule in self.light:
-            return self.materialise(granule)
-        return self.create(granule)
-
-    def create(self, granule):
-        """A new, empty state for *granule* (which must have no entry)."""
-        state = GranuleState(self.created)
-        self.created += 1
-        self.states[granule] = state
-        return state
+        entry = self._entries.get(granule)
+        if entry is None:
+            entry = self._entries[granule] = GranuleState(self.created)
+            self.created += 1
+        elif type(entry) is tuple:
+            entry = self.materialise(granule)
+        return entry
 
     def materialise(self, granule):
-        """Replace *granule*'s light entry by an equivalent state."""
-        owner, mode, seq = self.light.pop(granule)
-        state = GranuleState(seq)
+        """Replace *granule*'s light entry, in place, by an equivalent state."""
+        owner, mode, seq = self._entries[granule]
+        state = self._entries[granule] = GranuleState(seq)
         state.holders[owner] = mode
-        self.states[granule] = state
         return state
 
     def claim(self, granule, owner, mode):
@@ -112,14 +102,14 @@ class LockTable:
         is granted and the granule's state is returned, materialised
         from its light entry if need be, for the caller to decide.
         """
-        state = self.states.get(granule)
-        if state is not None:
-            return state
-        if granule in self.light:
+        entry = self._entries.get(granule)
+        if entry is None:
+            self._entries[granule] = (owner, mode, self.created)
+            self.created += 1
+            return None
+        if type(entry) is tuple:
             return self.materialise(granule)
-        self.light[granule] = (owner, mode, self.created)
-        self.created += 1
-        return None
+        return entry
 
     def grant_free(self, granules, start, owner, mode):
         """Give *owner* light entries on ``granules[start:]`` in order.
@@ -128,14 +118,13 @@ class LockTable:
         granule repeated in the run has one by then) and returns its
         index, or ``len(granules)`` when every granule was free.
         """
-        light = self.light
-        states = self.states
+        entries = self._entries
         seq = self.created
         for index in range(start, len(granules)):
             granule = granules[index]
-            if granule in light or granule in states:
+            if granule in entries:
                 break
-            light[granule] = (owner, mode, seq)
+            entries[granule] = (owner, mode, seq)
             seq += 1
         stop = start + seq - self.created
         self.created = seq
@@ -146,7 +135,8 @@ class LockTable:
 
         A granule with a light entry has no state (and no waiters).
         """
-        return self.states.get(granule)
+        entry = self._entries.get(granule)
+        return None if type(entry) is tuple else entry
 
     def holding(self, granule):
         """``(owner, mode)`` pairs for *granule*'s holders, in grant order.
@@ -154,11 +144,12 @@ class LockTable:
         A live view, not a copy; a light entry is read as one holder
         without materialising it.
         """
-        entry = self.light.get(granule)
-        if entry is not None:
+        entry = self._entries.get(granule)
+        if entry is None:
+            return ()
+        if type(entry) is tuple:
             return ((entry[0], entry[1]),)
-        state = self.states.get(granule)
-        return state.holders.items() if state is not None else ()
+        return entry.holders.items()
 
     def holders(self, granule):
         """Snapshot mapping owner → mode for *granule*."""
@@ -179,27 +170,50 @@ class LockTable:
             state.holders[owner] = mode if held is None else supremum(held, mode)
 
     def revoke(self, granule, owner):
-        """Remove *owner*'s lock on *granule* (no-op if absent)."""
-        entry = self.light.get(granule)
-        if entry is not None:
-            if entry[0] == owner:
-                del self.light[granule]
-            return
-        state = self.states.get(granule)
-        if state is None:
-            return
-        state.holders.pop(owner, None)
-        self._discard_if_empty(granule, state)
+        """Remove *owner*'s lock on *granule* (no-op if absent).
 
-    def _discard_if_empty(self, granule, state):
-        if not state.holders and not state.waiters:
-            del self.states[granule]
+        Returns the granule's state when requests still wait on it,
+        for the caller to promote, else ``None``.
+        """
+        entry = self._entries.get(granule)
+        if entry is None:
+            return None
+        if type(entry) is tuple:
+            if entry[0] == owner:
+                del self._entries[granule]
+            return None
+        entry.holders.pop(owner, None)
+        if entry.waiters:
+            return entry
+        if not entry.holders:
+            del self._entries[granule]
+        return None
+
+    def revoke_all(self, owner, granules):
+        """Remove *owner*'s lock on each of *granules*, in order.
+
+        Every granule must be held by *owner*.  Yields ``(granule,
+        state)`` for each state that still has waiters, before the
+        next granule is released, so the caller promotes each queue
+        while *owner* still holds the rest.
+        """
+        entries = self._entries
+        for granule in granules:
+            entry = entries[granule]
+            if type(entry) is tuple:
+                del entries[granule]
+                continue
+            del entry.holders[owner]
+            if entry.waiters:
+                yield granule, entry
+            elif not entry.holders:
+                del entries[granule]
 
     def prune(self, granule):
         """Drop *granule*'s state if it has no holders and no waiters."""
-        state = self.states.get(granule)
-        if state is not None:
-            self._discard_if_empty(granule, state)
+        state = self.peek(granule)
+        if state is not None and not state.holders and not state.waiters:
+            del self._entries[granule]
 
     def entries(self):
         """``(seq, granule, holders, waiters)`` for every entry, by ``seq``.
@@ -207,15 +221,13 @@ class LockTable:
         The logical view of the table: light entries appear as one
         holder and no waiters, exactly as a state would.
         """
-        rows = [
-            (seq, granule, {owner: mode}, ())
-            for granule, (owner, mode, seq) in self.light.items()
-        ]
-        rows.extend(
-            (state.seq, granule, state.holders, state.waiters)
-            for granule, state in self.states.items()
-        )
-        rows.sort(key=lambda row: row[0])
+        rows = []
+        for granule, entry in self._entries.items():
+            if type(entry) is tuple:
+                owner, mode, seq = entry
+                rows.append((seq, granule, {owner: mode}, ()))
+            else:
+                rows.append((entry.seq, granule, entry.holders, entry.waiters))
         return rows
 
     def locked_granules(self, owner=None):
@@ -229,31 +241,25 @@ class LockTable:
     def check_invariants(self):
         """Assert structural invariants; used by tests.
 
-        * no granule has both a light entry and a state;
-        * every creation number is distinct and below ``created``;
+        * creation numbers increase in table order and stay below
+          ``created``;
         * every pair of distinct holders on a granule is compatible;
         * no state object is empty (they are discarded eagerly).
         """
-        both = self.light.keys() & self.states.keys()
-        if both:
-            raise AssertionError(
-                "light and materialised at once: {!r}".format(
-                    sorted(both, key=repr)
-                )
-            )
         seqs = [row[0] for row in self.entries()]
-        if len(set(seqs)) != len(seqs) or any(s >= self.created for s in seqs):
+        if any(a >= b for a, b in zip(seqs, seqs[1:])) or any(
+            s >= self.created for s in seqs
+        ):
             raise AssertionError(
-                "creation numbers must be distinct and below {}: {!r}".format(
-                    self.created, seqs
-                )
+                "creation numbers must increase in table order and stay "
+                "below {}: {!r}".format(self.created, seqs)
             )
-        for granule, state in self.states.items():
-            if not state.holders and not state.waiters:
+        for _seq, granule, holders, waiters in self.entries():
+            if not holders and not waiters:
                 raise AssertionError("empty state retained for {!r}".format(granule))
-            holders = list(state.holders.items())
-            for i, (owner_a, mode_a) in enumerate(holders):
-                for owner_b, mode_b in holders[i + 1 :]:
+            pairs = list(holders.items())
+            for i, (owner_a, mode_a) in enumerate(pairs):
+                for owner_b, mode_b in pairs[i + 1 :]:
                     if not compatible(mode_a, mode_b):
                         raise AssertionError(
                             "incompatible holders on {!r}: {}={} vs {}={}".format(

@@ -201,23 +201,24 @@ class NoWaitingCC(PreclaimCC):
         yield from self.conflict_abort(txn, "no-waiting", blocker)
 
 
-class IncrementalCC(ConcurrencyControl):
-    """Claim-as-needed 2PL with youngest-victim deadlock detection."""
+class _GranuleCC(ConcurrencyControl):
+    """Granule-at-a-time locking through the explicit lock manager.
 
-    name = "incremental"
+    The shared lock loop of :class:`IncrementalCC` and
+    :class:`WoundWaitCC`.  They differ only in what happens when a
+    request has to queue, which each supplies as :meth:`_queued`.
+    """
+
     needs_granules = True
     analytic_semantics = "incremental"
+    #: Abort reason reported when the transaction loses a conflict.
+    abort_reason = None
 
     def bind(self, model):
-        from repro.lockmgr.deadlock import DeadlockDetector
-
         super().bind(model)
         #: tid -> (waiting LockRequest, wake event) for transactions
         #: currently parked inside the lock manager's FIFO queues.
         self._waiting = {}
-        self._detector = DeadlockDetector(
-            model.conflicts.manager, victim_key=lambda txn: txn.tid
-        )
         return self
 
     def acquire(self, txn):
@@ -248,18 +249,9 @@ class IncrementalCC(ConcurrencyControl):
                     lambda _req, event=wake: event.succeed("granted")
                 )
                 self._waiting[txn.tid] = (request, wake)
-                victim = self._detector.resolve_once()
-                if victim is txn:
-                    # Self-abort before parking: nothing waits on the
-                    # wake event, so it must never trigger (a spurious
-                    # trigger would consume a kernel event slot).
-                    manager.cancel(request)
-                    manager.release_all(txn)
-                    self._waiting.pop(txn.tid, None)
+                if self._queued(txn, request):
                     aborted = True
                     break
-                if victim is not None:
-                    self._abort_waiter(victim)
                 model.metrics.note_block(txn)
                 blocked_at = model.env.now
                 outcome = yield wake
@@ -274,23 +266,68 @@ class IncrementalCC(ConcurrencyControl):
                 model.conflicts.mark_active(txn)
                 model.admission.policy.on_grant()
                 return
-            yield from self.conflict_abort(txn, reason="deadlock")
+            yield from self.conflict_abort(txn, reason=self.abort_reason)
 
-    def _abort_waiter(self, victim):
-        """Kill another waiting transaction to break a cycle."""
-        manager = self.model.conflicts.manager
+    def _queued(self, txn, request):
+        """*txn*'s *request* just queued; ``True`` if *txn* must abort.
+
+        Runs before *txn* parks on its wake event, which the request's
+        grant may already have triggered.
+        """
+        raise NotImplementedError
+
+    def _abort_waiting(self, victim):
+        """Abort *victim* if it is parked in a lock queue.
+
+        Cancels its request, releases its locks and wakes it with
+        :data:`ABORTED`.  Returns ``False``, doing nothing, when
+        *victim* is not waiting.
+        """
         entry = self._waiting.pop(victim.tid, None)
-        if entry is not None:
-            request, wake = entry
+        if entry is None:
+            return False
+        manager = self.model.conflicts.manager
+        request, wake = entry
+        manager.cancel(request)
+        manager.release_all(victim)
+        if not wake.triggered:
+            wake.succeed(ABORTED)
+        return True
+
+
+class IncrementalCC(_GranuleCC):
+    """Claim-as-needed 2PL with youngest-victim deadlock detection."""
+
+    name = "incremental"
+    abort_reason = "deadlock"
+
+    def bind(self, model):
+        from repro.lockmgr.deadlock import DeadlockDetector
+
+        super().bind(model)
+        self._detector = DeadlockDetector(
+            model.conflicts.manager, victim_key=lambda txn: txn.tid
+        )
+        return self
+
+    def _queued(self, txn, request):
+        """Break any waits-for cycle by aborting its youngest member."""
+        manager = self.model.conflicts.manager
+        victim = self._detector.resolve_once()
+        if victim is txn:
+            # Self-abort before parking: nothing waits on the wake
+            # event, so it must never trigger (a spurious trigger
+            # would consume a kernel event slot).
             manager.cancel(request)
+            manager.release_all(txn)
+            self._waiting.pop(txn.tid, None)
+            return True
+        if victim is not None and not self._abort_waiting(victim):
             manager.release_all(victim)
-            if not wake.triggered:
-                wake.succeed(ABORTED)
-        else:
-            manager.release_all(victim)
+        return False
 
 
-class WoundWaitCC(ConcurrencyControl):
+class WoundWaitCC(_GranuleCC):
     """Wound-wait: older transactions wound younger conflicting holders.
 
     Timestamps are transaction ids (assigned in start order, so a
@@ -305,81 +342,33 @@ class WoundWaitCC(ConcurrencyControl):
     """
 
     name = "wound-wait"
-    needs_granules = True
-    analytic_semantics = "incremental"
+    abort_reason = "wounded"
 
     def bind(self, model):
         super().bind(model)
-        self._waiting = {}
         #: tids wounded while executing; they abort at post_execute.
         self._wounded = set()
         return self
 
     def acquire(self, txn):
-        model = self.model
-        params = model.params
-        manager = model.conflicts.manager
-        mode = LockMode.X if txn.is_writer else LockMode.S
         self._wounded.discard(txn.tid)
-        while True:
-            txn.attempts += 1
-            model.metrics.note_request(txn, len(txn.granules))
-            yield model.machine.lock_overhead(
-                len(txn.granules) * params.lcputime,
-                len(txn.granules) * params.liotime,
-            )
-            aborted = False
-            index = 0
-            while True:
-                index, request = manager.acquire_from(
-                    txn, txn.granules, index, mode
-                )
-                if request is None:
-                    break
-                wake = model.env.event()
-                request.on_grant = (
-                    lambda _req, event=wake: event.succeed("granted")
-                )
-                self._waiting[txn.tid] = (request, wake)
-                # Wound every younger conflicting holder.  Releasing a
-                # wounded waiter's locks may promote our own queued
-                # request synchronously, in which case the wake event
-                # is already triggered when we yield it.
-                for holder in manager.conflicting_holders(
-                    txn, request.granule, mode
-                ):
-                    if holder.tid > txn.tid:
-                        self._wound(holder)
-                model.metrics.note_block(txn)
-                blocked_at = model.env.now
-                outcome = yield wake
-                model.metrics.note_wake(txn, blocked_at, request.granule)
-                self._waiting.pop(txn.tid, None)
-                if outcome == ABORTED:
-                    aborted = True
-                    break
-                index += 1
-            if not aborted:
-                model.metrics.emit("lock_grant", txn, attempt=txn.attempts)
-                model.conflicts.mark_active(txn)
-                model.admission.policy.on_grant()
-                return
-            yield from self.conflict_abort(txn, reason="wounded")
+        yield from super().acquire(txn)
 
-    def _wound(self, victim):
-        """Abort *victim* now if it is waiting, else mark it wounded."""
-        entry = self._waiting.pop(victim.tid, None)
-        if entry is None:
-            # Already executing with a full lock set; it aborts at its
-            # commit point (post_execute) and releases everything then.
-            self._wounded.add(victim.tid)
-            return
-        manager = self.model.conflicts.manager
-        request, wake = entry
-        manager.cancel(request)
-        manager.release_all(victim)
-        if not wake.triggered:
-            wake.succeed(ABORTED)
+    def _queued(self, txn, request):
+        """Wound every younger conflicting holder.
+
+        Releasing a wounded waiter's locks may promote *request*
+        synchronously, in which case the wake event is already
+        triggered when *txn* yields it.  A wounded holder that is
+        already executing with a full lock set aborts at its commit
+        point (:meth:`post_execute`) and releases everything then.
+        """
+        for holder in self.model.conflicts.manager.conflicting_holders(
+            txn, request.granule, request.mode
+        ):
+            if holder.tid > txn.tid and not self._abort_waiting(holder):
+                self._wounded.add(holder.tid)
+        return False
 
     def post_execute(self, txn):
         if txn.tid not in self._wounded:

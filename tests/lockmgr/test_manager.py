@@ -4,7 +4,6 @@ import pytest
 
 from repro.lockmgr import DeadlockDetector, LockManager, LockMode, RequestStatus
 from repro.lockmgr.manager import exclusive_requests
-from repro.lockmgr.table import GranuleState
 
 
 class TestPreclaim:
@@ -124,6 +123,20 @@ class TestIncremental:
         manager.acquire("T2", "g", LockMode.S)
         request = manager.acquire("T1", "g", LockMode.X)
         assert request.status is RequestStatus.WAITING
+
+    def test_release_all_promotes_each_queue_before_the_next_release(self):
+        # Small ints iterate a set in value order, so granule 1 is
+        # released (and its queue promoted) before granule 2.
+        manager = LockManager()
+        manager.acquire_from("T1", [1, 2], 0, LockMode.X)
+        seen = []
+        waiter = manager.acquire(
+            "T2", 1, LockMode.X,
+            on_grant=lambda _req: seen.append(list(manager.table.holding(2))),
+        )
+        assert manager.release_all("T1") == [waiter]
+        assert seen == [[("T1", LockMode.X)]]
+        assert len(manager.table) == 1
 
     def test_cancel_removes_waiter_and_promotes(self):
         manager = LockManager()
@@ -246,6 +259,14 @@ class TestBatchedAcquire:
         ]
 
 
+def rows(table):
+    """The logical table as comparable ``(seq, granule, holders, waiters)``."""
+    return [
+        (seq, granule, dict(holders), list(waiters))
+        for seq, granule, holders, waiters in table.entries()
+    ]
+
+
 class TestLightEntries:
     def test_fresh_grants_build_no_state(self):
         manager = LockManager()
@@ -253,13 +274,13 @@ class TestLightEntries:
         assert manager.acquire_from("T1", ["b", "c"], 0, LockMode.S) == (2, None)
         assert manager.try_acquire_all("T2", exclusive_requests(["d"])) is None
         table = manager.table
-        assert table.states == {}
-        assert table.light == {
-            "a": ("T1", LockMode.X, 0),
-            "b": ("T1", LockMode.S, 1),
-            "c": ("T1", LockMode.S, 2),
-            "d": ("T2", LockMode.X, 3),
-        }
+        assert rows(table) == [
+            (0, "a", {"T1": LockMode.X}, []),
+            (1, "b", {"T1": LockMode.S}, []),
+            (2, "c", {"T1": LockMode.S}, []),
+            (3, "d", {"T2": LockMode.X}, []),
+        ]
+        assert [table.peek(granule) for granule in "abcd"] == [None] * 4
         assert len(table) == 4 and "c" in table
         manager.check_invariants()
 
@@ -268,21 +289,26 @@ class TestLightEntries:
         manager.acquire("T1", "a", LockMode.S)
         manager.acquire("T1", "b", LockMode.S)
         manager.acquire("T2", "a", LockMode.S)
-        state = manager.table.peek("a")
+        table = manager.table
+        state = table.peek("a")
         assert state.seq == 0
-        assert list(state.holders.items()) == [
+        assert list(table.holding("a")) == [
             ("T1", LockMode.S),
             ("T2", LockMode.S),
         ]
-        assert "a" not in manager.table.light
-        assert manager.table.peek("b") is None
+        assert table.peek("b") is None
+        # Materialising keeps the entry's place in table order.
+        assert [row[:2] for row in rows(table)] == [(0, "a"), (1, "b")]
         manager.check_invariants()
 
     def test_repeated_request_by_the_holder_materialises(self):
         manager = LockManager()
         manager.acquire_from("T1", ["a", "b", "a"], 0, LockMode.S)
-        assert list(manager.table.states) == ["a"]
-        assert manager.table.mode_of("a", "T1") is LockMode.S
+        table = manager.table
+        assert table.peek("a") is not None
+        assert table.peek("b") is None
+        assert list(table.holding("a")) == [("T1", LockMode.S)]
+        assert len(table) == 2
         manager.check_invariants()
 
     def test_reads_leave_light_entries_light(self):
@@ -291,16 +317,18 @@ class TestLightEntries:
         assert manager.conflicting_holders("T2", "a", LockMode.X) == ["T1"]
         assert manager.conflicting_holders("T2", "a", LockMode.S) == []
         assert manager.try_acquire_all("T2", exclusive_requests(["a"])) == "T1"
-        assert manager.table.holders("a") == {"T1": LockMode.S}
-        assert manager.table.states == {}
+        assert list(manager.table.holding("a")) == [("T1", LockMode.S)]
+        assert manager.table.peek("a") is None
 
     def test_release_all_drops_light_entries_and_promotes_states(self):
         manager = LockManager()
         manager.acquire_from("T1", ["a", "b", "c"], 0, LockMode.X)
         waiter = manager.acquire("T2", "b", LockMode.X)
         assert manager.release_all("T1") == [waiter]
-        assert manager.table.light == {}
-        assert list(manager.table.states) == ["b"]
+        table = manager.table
+        assert rows(table) == [(1, "b", {"T2": LockMode.X}, [])]
+        assert table.peek("b") is not None
+        assert len(table) == 1
         assert manager.held_by("T2") == {"b"}
         manager.check_invariants()
 
@@ -336,15 +364,6 @@ class TestInvariantCheck:
         manager.acquire("T1", "h", LockMode.X)
         manager._held["T1"].discard("g")
         with pytest.raises(AssertionError, match="held sets"):
-            manager.check_invariants()
-
-    def test_detects_granule_both_light_and_materialised(self):
-        manager = LockManager()
-        manager.acquire("T1", "g", LockMode.X)
-        state = GranuleState(manager.table.light["g"][2])
-        state.holders["T1"] = LockMode.X
-        manager.table.states["g"] = state
-        with pytest.raises(AssertionError, match="light and materialised"):
             manager.check_invariants()
 
     def test_runs_the_table_checks(self):

@@ -125,11 +125,12 @@ class TestLockTable:
         with pytest.raises(AssertionError):
             table.check_invariants()
 
-    def test_check_invariants_detects_reused_seq(self):
+    def test_check_invariants_detects_seq_out_of_table_order(self):
         table = LockTable()
-        table.grant("a", "T1", LockMode.X)
-        table.grant("b", "T1", LockMode.X)
-        table.light["b"] = ("T1", LockMode.X, 0)
+        table.grant("a", "T1", LockMode.S)
+        table.grant("b", "T1", LockMode.S)
+        table.grant("b", "T2", LockMode.S)
+        table.peek("b").seq = 0
         with pytest.raises(AssertionError, match="creation numbers"):
             table.check_invariants()
 
