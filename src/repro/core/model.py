@@ -25,7 +25,7 @@ from repro.core.results import aggregate
 from repro.core.transaction import Transaction, split_entities
 from repro.core.workload import make_size_sampler
 from repro.des import Environment, RandomStreams
-from repro.des.events import URGENT, Event
+from repro.des.events import Join
 from repro.engine.machine import Machine
 from repro.engine.processor import ProcessorDown
 from repro.faults.backoff import FixedUniformBackoff
@@ -40,7 +40,10 @@ from repro.policies.admission import AdmissionGate, make_admission_policy
 #:
 #: 2: response percentiles switched to explicit nearest-rank (the
 #:    ``round``-based pick was off by one on even sample counts).
-MODEL_VERSION = 2
+#: 3: completions without relay hops (a sub-transaction's stages and a
+#:    lock request's done event no longer replay the same-instant
+#:    order of a process per sub and of per-node condition joins).
+MODEL_VERSION = 3
 
 #: Named random streams derived from the master seed.  Each stream is
 #: seeded from ``(seed, name)`` alone, so adding one never perturbs
@@ -316,20 +319,20 @@ class LockingGranularityModel:
         if traced:
             probe.emit("exec", txn, pu=len(processors))
         shares = split_entities(txn.nu, len(processors))
-        join = _Join(self.env)
-        for sub, (proc_index, entities) in enumerate(zip(processors, shares)):
-            if entities <= 0:
-                continue
-            if traced:
-                probe.emit(
-                    "fork", txn, sub=sub, node=proc_index, entities=entities
-                )
-            join.pending += 1
-            _Subtransaction(self, txn, sub, proc_index, entities, join, traced)
-        forked = join.pending
-        ok = (yield join.event) if forked else True
+        subs = []
+        for sub, (index, entities) in enumerate(zip(processors, shares)):
+            if entities > 0:
+                if traced:
+                    probe.emit("fork", txn, sub=sub, node=index, entities=entities)
+                subs.append((sub, index, entities))
+        # Counted before any sub starts: a sub on a down node reports
+        # as it starts, and must not close the join on its siblings.
+        join = Join(self.env, len(subs), True)
+        for sub, index, entities in subs:
+            _Subtransaction(self, txn, sub, index, entities, join, traced)
+        ok = yield join.event
         if traced:
-            probe.emit("join", txn, subs=forked)
+            probe.emit("join", txn, subs=len(subs))
         return ok
 
     # -- completion ----------------------------------------------------------
@@ -344,123 +347,60 @@ class LockingGranularityModel:
         self.arrivals.on_complete(self, txn)
 
 
-class _Join:
-    """The countdown join of one fork.
-
-    Its :attr:`event` is what the parent waits on.  It succeeds with
-    whether every sub completed once the last one reports, or fails
-    with the first error other than :class:`ProcessorDown` that a sub
-    reports (later reports are then ignored), as ``env.all_of`` over
-    the subs would.
-    """
-
-    __slots__ = ("event", "pending", "ok")
-
-    def __init__(self, env):
-        self.event = Event(env)
-        self.pending = 0
-        self.ok = True
-
-    def report(self, ok):
-        if self.event.triggered:
-            return
-        if not ok:
-            self.ok = False
-        self.pending -= 1
-        if not self.pending:
-            self.event.succeed(self.ok)
-
-    def error(self, exception):
-        if not self.event.triggered:
-            self.event.fail(exception)
-
-
 class _Subtransaction:
     """One forked sub-transaction: disk, then CPU, then report.
 
-    Every stage is a bare kernel callback, scheduled at the point and
-    priority where a generator process doing the same steps would
-    schedule an event: :meth:`_start` where its ``Initialize`` goes
-    (urgent), one callback per io and cpu done event (the sub is the
-    servers' completion target: :meth:`succeed` and :meth:`fail`
-    schedule the next stage), and :meth:`_finish`, which reports to
-    the :class:`_Join`, where the process's completion event goes.
-    That keeps the event-id stream, and so every same-instant tie,
-    the same as a process per sub gives (DESIGN §7).  Do not merge
-    stages: each one is a heap entry other work may be ordered
-    against.
+    The sub starts its io job as it is built and is the completion
+    target of its own jobs: the io job's :meth:`succeed` submits the
+    CPU job, and the CPU job's reports to the fork's
+    :class:`~repro.des.events.Join`.  :meth:`fail` reports ``False``
+    (the join's value) on :class:`ProcessorDown`, so surviving siblings
+    run to completion before the parent aborts, and fails the join on
+    any other error.  No stage is a kernel event of its own.
     """
 
-    __slots__ = (
-        "env", "params", "node", "txn", "sub", "index", "entities", "join",
-        "probe", "_on_cpu", "_outcome",
-    )
+    __slots__ = ("node", "txn", "sub", "index", "cpu_demand", "join", "probe")
 
     def __init__(self, model, txn, sub, index, entities, join, traced):
-        self.env = model.env
-        self.params = model.params
         self.node = model.machine[index]
         self.txn = txn
         self.sub = sub
         self.index = index
-        self.entities = entities
+        #: The CPU demand still to submit; ``None`` once on the CPU.
+        self.cpu_demand = entities * model.params.cputime
         self.join = join
         # Decided once per sub: an untraced run builds no emit kwargs.
-        self.probe = model.metrics if traced else None
-        # The stage is a flag, not a stored bound method: that would be
-        # a reference cycle keeping the finished sub, and its
-        # transaction, alive until a full garbage collection.
-        self._on_cpu = False
-        self._outcome = True
-        self.env.schedule_callback(self._start, 0, URGENT)
-
-    def _start(self):
-        if self.probe is not None:
-            self.probe.emit("io_start", self.txn, sub=self.sub, node=self.index)
-        self.node.io(self.entities * self.params.iotime, self)
+        self.probe = probe = model.metrics if traced else None
+        if probe is not None:
+            probe.emit("io_start", txn, sub=sub, node=index)
+        self.node.io(entities * model.params.iotime, self)
 
     # -- completion target (called by the node's servers) ----------------
 
     def succeed(self):
-        self.env.schedule_callback(
-            self._after_cpu if self._on_cpu else self._after_io
-        )
-
-    def fail(self, exception):
-        self._outcome = exception
-        self.env.schedule_callback(self._failed)
-
-    # -- stages ------------------------------------------------------------
-
-    def _after_io(self):
         probe = self.probe
+        demand = self.cpu_demand
+        if demand is None:
+            if probe is not None:
+                probe.emit("cpu_end", self.txn, sub=self.sub, node=self.index)
+            self.join.succeed()
+            return
         if probe is not None:
             probe.emit("io_end", self.txn, sub=self.sub, node=self.index)
             probe.emit("cpu_start", self.txn, sub=self.sub, node=self.index)
-        self._on_cpu = True
-        self.node.compute(self.entities * self.params.cputime, self)
+        self.cpu_demand = None
+        self.node.compute(demand, self)
 
-    def _after_cpu(self):
+    def fail(self, exception):
+        if not isinstance(exception, ProcessorDown):
+            self.join.fail(exception)
+            return
         if self.probe is not None:
-            self.probe.emit("cpu_end", self.txn, sub=self.sub, node=self.index)
-        self.env.schedule_callback(self._finish)
-
-    def _failed(self):
-        down = self._outcome
-        if isinstance(down, ProcessorDown):
-            if self.probe is not None:
-                self.probe.emit(
-                    "sub_fail", self.txn, sub=self.sub, node=down.index
-                )
-            self._outcome = False
-        self.env.schedule_callback(self._finish)
-
-    def _finish(self):
-        outcome = self._outcome
-        if outcome is True or outcome is False:
-            self.join.report(outcome)
-        else:
-            self.join.error(outcome)
+            self.probe.emit(
+                "sub_fail", self.txn, sub=self.sub, node=exception.index
+            )
+        self.join.value = False
+        self.join.succeed()
 
 
 def simulate(params=None, fault_plan=None, backoff=None, **overrides):

@@ -5,7 +5,8 @@ study.  It provides the same programming model as SimPy (which is not
 available in this offline environment): an :class:`Environment` drives an
 event heap, generator functions become :class:`Process` instances, and
 processes synchronise by yielding :class:`Event` objects such as
-:class:`Timeout` or fork/join conditions.
+:class:`Timeout`, an :class:`AnyOf` race or the event of a
+:class:`Join` (a countdown over the jobs of a fork).
 
 The kernel adds one component that SimPy does not ship directly: a
 single-capacity :class:`Server` with preemptive-resume priority service
@@ -32,7 +33,7 @@ Example
 
 from repro.des.engine import Environment
 from repro.des.errors import Interrupt, SimulationError, StopSimulation
-from repro.des.events import AllOf, AnyOf, Event, Timeout
+from repro.des.events import AnyOf, Event, Join, Timeout
 from repro.des.monitor import Tally, TimeWeighted
 from repro.des.process import Process
 from repro.des.rng import RandomStreams
@@ -40,11 +41,11 @@ from repro.des.server import Server
 from repro.des.trace import Trace, TraceRecord
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Environment",
     "Event",
     "Interrupt",
+    "Join",
     "Process",
     "RandomStreams",
     "Server",

@@ -11,7 +11,7 @@ from repro.des.errors import (
     SimulationStalled,
     StopSimulation,
 )
-from repro.des.events import NORMAL, AllOf, AnyOf, Event, Timeout
+from repro.des.events import NORMAL, AnyOf, Event, Timeout
 from repro.des.process import _TICK, Process
 
 
@@ -294,10 +294,6 @@ class Environment:
     def process(self, generator):
         """Start *generator* as a :class:`Process` and return it."""
         return Process(self, generator)
-
-    def all_of(self, events):
-        """Join: event that succeeds when all of *events* succeed."""
-        return AllOf(self, events)
 
     def any_of(self, events):
         """Race: event that succeeds when any of *events* succeeds."""

@@ -152,25 +152,24 @@ class Initialize(Event):
         env.schedule(self, delay=0, priority=URGENT)
 
 
-class Condition(Event):
-    """Base for fork/join events over a set of child events.
+class AnyOf(Event):
+    """A race: succeeds as soon as any child event succeeds.
 
-    The condition triggers when :meth:`_check` says the accumulated
-    outcomes satisfy it.  A failing child fails the whole condition
-    (the child's exception propagates).
+    Its value lists the values of the children that succeeded by then,
+    in child order.  A failing child fails the race (the child's
+    exception propagates) unless the race already triggered.
     """
 
-    __slots__ = ("_events", "_count")
+    __slots__ = ("_events",)
 
     def __init__(self, env, events):
         super().__init__(env)
         self._events = list(events)
-        self._count = 0
         for event in self._events:
             if event.env is not env:
                 raise SimulationError("events belong to different environments")
         if not self._events:
-            self.succeed(self._build_value())
+            self.succeed([])
             return
         for event in self._events:
             if event.processed:
@@ -180,47 +179,49 @@ class Condition(Event):
 
     def _on_child(self, event):
         if not event.ok:
-            # Defuse even when the condition already triggered: a second
-            # failing child (e.g. the CPU and disk halves of a node both
-            # killed by a processor crash) must not escalate out of the
-            # run loop once the first failure decided the condition.
+            # Defuse even when the race already triggered: a child
+            # failing after it was decided must not escalate out of
+            # the run loop.
             event.defuse()
         if self.triggered:
             return
         if not event.ok:
             self.fail(event.value)
             return
-        self._count += 1
-        if self._check():
-            self.succeed(self._build_value())
-
-    def _check(self):
-        raise NotImplementedError
-
-    def _build_value(self):
-        """Values of children that already *occurred*, in child order.
-
-        A Timeout is triggered (has a value) from creation, but it has
-        not happened until processed — only processed children count,
-        so an AnyOf's value contains exactly the events that fired by
-        the time the condition did.
-        """
-        return [e.value for e in self._events if e.processed and e.ok]
+        # A Timeout is triggered (has a value) from creation, but it
+        # has not happened until processed: only processed children
+        # count, so the value holds exactly the events that fired by
+        # the time the race did.
+        self.succeed([e.value for e in self._events if e.processed and e.ok])
 
 
-class AllOf(Condition):
-    """Triggers when every child event has succeeded (a join)."""
+class Join:
+    """A countdown join: one completion target for *pending* jobs.
 
-    __slots__ = ()
+    Each job reports once through :meth:`succeed` or :meth:`fail`, as a
+    :class:`~repro.des.server.Server` reports to a job's ``done``
+    target.  :attr:`event` succeeds with :attr:`value` when the last
+    job succeeds (at once when *pending* is 0), or fails with the first
+    exception; later reports are ignored.  No event exists per job, so
+    :attr:`event` is scheduled by the report that completes it.
+    """
 
-    def _check(self):
-        return self._count == len(self._events)
+    __slots__ = ("event", "pending", "value")
 
+    def __init__(self, env, pending, value=None):
+        self.event = Event(env)
+        self.pending = pending
+        self.value = value
+        if not pending:
+            self.event.succeed(value)
 
-class AnyOf(Condition):
-    """Triggers as soon as any child event succeeds."""
+    def succeed(self):
+        """Report one job done; the last one succeeds :attr:`event`."""
+        self.pending -= 1
+        if not self.pending and not self.event.triggered:
+            self.event.succeed(self.value)
 
-    __slots__ = ()
-
-    def _check(self):
-        return self._count >= 1
+    def fail(self, exception):
+        """Report a failed job: :attr:`event` fails unless decided."""
+        if not self.event.triggered:
+            self.event.fail(exception)

@@ -49,7 +49,7 @@ class Process(Event):
 
     A process is itself an event: it triggers with the generator's
     return value when the generator finishes, so processes can wait on
-    one another or be joined with :class:`~repro.des.events.AllOf`.
+    one another or race in an :class:`~repro.des.events.AnyOf`.
     """
 
     __slots__ = ("_generator", "_target", "_resume_cb", "_tick_eid")

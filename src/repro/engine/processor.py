@@ -75,23 +75,20 @@ class Processor:
         done.fail(ProcessorDown(self.index))
         return done
 
-    def lock_work(self, cpu_demand, io_demand):
+    def lock_work(self, cpu_demand, io_demand, done):
         """Submit this node's share of a lock request's processing.
 
         Both device demands are posted at preemptive priority and run
-        concurrently; the returned event fires when both complete.
-        Zero-demand shares complete immediately.
+        concurrently, each reporting to the completion target *done*
+        (see :meth:`~repro.des.server.Server.submit`), which is
+        returned.  A zero demand is not submitted, so *done* counts
+        only the positive ones.
         """
-        events = []
         if io_demand > 0:
-            events.append(self.disk.submit(io_demand, LOCK_PRIORITY, LOCK_TAG))
+            self.disk.submit(io_demand, LOCK_PRIORITY, LOCK_TAG, done)
         if cpu_demand > 0:
-            events.append(self.cpu.submit(cpu_demand, LOCK_PRIORITY, LOCK_TAG))
-        if not events:
-            return self.env.timeout(0)
-        if len(events) == 1:
-            return events[0]
-        return self.env.all_of(events)
+            self.cpu.submit(cpu_demand, LOCK_PRIORITY, LOCK_TAG, done)
+        return done
 
     def io(self, demand, done=None):
         """Queue transaction I/O on this node's disk.

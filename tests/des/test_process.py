@@ -194,19 +194,6 @@ class TestInterrupt:
 
 
 class TestForkJoin:
-    def test_all_of_over_processes(self, env):
-        def worker(env, duration):
-            yield env.timeout(duration)
-            return duration
-
-        def parent(env):
-            children = [env.process(worker(env, d)) for d in (5, 1, 3)]
-            values = yield env.all_of(children)
-            return (env.now, sorted(values))
-
-        parent_proc = env.process(parent(env))
-        assert env.run(until=parent_proc) == (5, [1, 3, 5])
-
     def test_any_of_over_processes(self, env):
         def worker(env, duration):
             yield env.timeout(duration)
@@ -230,9 +217,8 @@ class TestForkJoin:
                 order.append(name)
 
             def parent(env):
-                yield env.all_of(
-                    [env.process(worker(env, n)) for n in "abcd"]
-                )
+                for child in [env.process(worker(env, n)) for n in "abcd"]:
+                    yield child
 
             env.process(parent(env))
             env.run()

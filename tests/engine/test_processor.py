@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.des import Join
 from repro.engine.processor import LOCK_TAG, TXN_TAG, Processor, ProcessorDown
 
 
@@ -42,7 +43,8 @@ class TestProcessor:
         node = Processor(env, 0)
 
         def requester(env):
-            yield node.lock_work(cpu_demand=1.0, io_demand=4.0)
+            done = node.lock_work(cpu_demand=1.0, io_demand=4.0, done=Join(env, 2))
+            yield done.event
             return env.now
 
         process = env.process(requester(env))
@@ -53,17 +55,20 @@ class TestProcessor:
         node = Processor(env, 0)
 
         def requester(env):
-            yield node.lock_work(0.0, 0.0)
+            # Nothing is submitted, so a join over no shares is done.
+            yield node.lock_work(0.0, 0.0, Join(env, 0)).event
             return env.now
 
         process = env.process(requester(env))
         assert env.run(until=process) == 0.0
+        assert node.disk.demand_submitted() == node.cpu.demand_submitted() == 0
 
     def test_lock_work_single_device(self, env):
         node = Processor(env, 0)
 
         def requester(env):
-            yield node.lock_work(cpu_demand=2.0, io_demand=0.0)
+            done = node.lock_work(cpu_demand=2.0, io_demand=0.0, done=Join(env, 1))
+            yield done.event
             return env.now
 
         process = env.process(requester(env))
@@ -75,7 +80,7 @@ class TestProcessor:
 
         def lock_request(env):
             yield env.timeout(2)
-            yield node.lock_work(0.0, 3.0)
+            yield node.lock_work(0.0, 3.0, Join(env, 1)).event
             return env.now
 
         lock_proc = env.process(lock_request(env))
@@ -91,7 +96,7 @@ class TestProcessor:
 
         def locker(env):
             yield env.timeout(1)
-            yield node.lock_work(1.0, 1.0)
+            yield node.lock_work(1.0, 1.0, Join(env, 2)).event
 
         env.process(locker(env))
         env.run()

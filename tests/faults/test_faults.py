@@ -33,10 +33,11 @@ from repro.faults import (
 )
 
 #: Content address of the golden run, pinned before fault injection
-#: existed.  If this moves, every previously cached result is
-#: silently orphaned — treat a failure here as a release blocker.
+#: existed and re-pinned at each deliberate ``MODEL_VERSION`` bump
+#: (last at 3).  If it moves otherwise, every previously cached result
+#: is silently orphaned — treat a failure here as a release blocker.
 GOLDEN_CACHE_KEY = (
-    "21f26040f12c1722f7aa38d13db8e7b8db325ec74d44430f4d9387f693e66e5f"
+    "26440634f6a840f6287638ced0a7edb19a37d2c43457978673469ba680d577e8"
 )
 
 CRASHY = FaultPlan(crashes=(CrashSpec(mttf=30.0, mttr=10.0),))

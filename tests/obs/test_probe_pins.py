@@ -107,26 +107,26 @@ def _observe(case, seed):
 
 #: (case, seed) -> (result, trace, metrics) digests.
 PINS = {
-    ("adaptive-admission", 1): ("70a50ba8aaf87978", "d8a1a5acaffdb34e", "f93b047fc602024d"),
-    ("adaptive-admission", 2): ("8325a5a9bd6c01fc", "d342412a9d11d228", "facbae6470d5598a"),
-    ("class-mix", 1): ("30795f5be015230e", "840f6616a5248266", "0ece64018e567f49"),
-    ("class-mix", 2): ("a1b0184bda3dea5d", "63d7455d906f5a94", "595046d97f7c3a18"),
-    ("cluster-2pc", 1): ("c107406a5bb41efe", "2c3f2ddaaf08753e", "067607cd944833aa"),
-    ("cluster-2pc", 2): ("c0a690a2e97ec8fa", "3a63bdce4db50722", "452271320c72dafb"),
-    ("cluster-faults", 1): ("c95a5d6b4d47d63b", "a49a369fa8fe9a0c", "c92e3eda75ef150f"),
-    ("cluster-faults", 2): ("79de5affaf3fd632", "a22689d5ddb4942e", "dd23ed3b83906743"),
-    ("incremental-explicit", 1): ("2104d4028b2aedc2", "149a0a92667fe6f5", "5ffa03dc78f5be51"),
-    ("incremental-explicit", 2): ("8980b9fa943b8a46", "060e7fd82814cb27", "97c7f03208b692b9"),
-    ("no-waiting-probabilistic", 1): ("f2fedf5960454664", "ee4f768149903ba8", "20b58aeb004887ec"),
-    ("no-waiting-probabilistic", 2): ("9fccc2713b9b1a9b", "0155a38d0427d883", "bc1f58356c360367"),
-    ("preclaim-hierarchical", 1): ("a769cb5fe6ee8472", "5736050c9d5a96b7", "cc05f4f0b861a72d"),
-    ("preclaim-hierarchical", 2): ("40163fecc6c2df40", "007427cae97a44f8", "00f43e5ba382af7c"),
-    ("preclaim-probabilistic", 1): ("2c6fe80571cd366c", "431ec6d11ea372cb", "e1f733bb597d284b"),
-    ("preclaim-probabilistic", 2): ("01fda2f3313b46d0", "d2c0afc7ebccb955", "584c8c26f37a670f"),
-    ("primary-copy-faults", 1): ("3a85ee408df04ee8", "8f0b7352fcd76288", "ea23d017ee056150"),
-    ("primary-copy-faults", 2): ("c9e2e44e2b269e2e", "c455cebf147e4a04", "a2d30fd0439fa6d5"),
-    ("wound-wait-explicit", 1): ("9b481c7a763e6ff0", "c09eebd989e3d8a6", "6e070a8c5a7483d8"),
-    ("wound-wait-explicit", 2): ("4b7e31c079af2e02", "931353074e9c4fe9", "53f02249412a0b69"),
+    ("adaptive-admission", 1): ("70a50ba8aaf87978", "05371563be104cab", "db34e2ca67adda82"),
+    ("adaptive-admission", 2): ("8325a5a9bd6c01fc", "5b7b121afcd6189e", "7de928840a20bc6a"),
+    ("class-mix", 1): ("30795f5be015230e", "a6158b52ba4401cd", "aa9c4aab7dd46888"),
+    ("class-mix", 2): ("a1b0184bda3dea5d", "550d1863065c1be8", "1e27ee8269e100dd"),
+    ("cluster-2pc", 1): ("c107406a5bb41efe", "28b1fa86666058f7", "9916c8fd19977dc9"),
+    ("cluster-2pc", 2): ("e17f4006e05893c9", "2d8a117852a328f7", "aa11ac9f198f9e17"),
+    ("cluster-faults", 1): ("a2714f7bb9bb3d82", "b0528e3c41266029", "d8331be0b49d746a"),
+    ("cluster-faults", 2): ("79de5affaf3fd632", "2a42571959423a02", "13b0f61d17344fdc"),
+    ("incremental-explicit", 1): ("2104d4028b2aedc2", "149a0a92667fe6f5", "9b4908ceda29c399"),
+    ("incremental-explicit", 2): ("8980b9fa943b8a46", "6f6f5a00e6a09e4f", "4a87b14b6e460ba6"),
+    ("no-waiting-probabilistic", 1): ("f2fedf5960454664", "005adf2104e41d85", "83498bdaf61ebbb7"),
+    ("no-waiting-probabilistic", 2): ("9fccc2713b9b1a9b", "84c0f18a18bab5ec", "977ef87b675324fc"),
+    ("preclaim-hierarchical", 1): ("a769cb5fe6ee8472", "3a07ec34fea2deb8", "b10a58539c1b8a6d"),
+    ("preclaim-hierarchical", 2): ("40163fecc6c2df40", "9333eb5d64312ab2", "a8edda0da95cb455"),
+    ("preclaim-probabilistic", 1): ("2c6fe80571cd366c", "be65c13f1b913b73", "3ee6df8e628c2766"),
+    ("preclaim-probabilistic", 2): ("01fda2f3313b46d0", "61b02fd19771337c", "22fad3e512d03561"),
+    ("primary-copy-faults", 1): ("b94b4785df0ac30e", "033d270b7ff73f0c", "f5bb015af8f271ef"),
+    ("primary-copy-faults", 2): ("c9e2e44e2b269e2e", "38a13755b5a84d6a", "00fb60a152301e0b"),
+    ("wound-wait-explicit", 1): ("9b481c7a763e6ff0", "c09eebd989e3d8a6", "c071433b3997efae"),
+    ("wound-wait-explicit", 2): ("4b7e31c079af2e02", "08f67672fda53dd4", "63deaab3b54ddc03"),
 }
 
 

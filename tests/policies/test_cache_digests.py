@@ -5,7 +5,8 @@ sweep caches, journals and manifests all key off it.  These digests
 were computed before the policy refactor and must never drift while
 every active policy is at version 1 — the registry, the
 ``policy_versions`` cache token and any amount of policy registration
-must leave default addresses byte-identical.
+must leave default addresses byte-identical.  ``MODEL_VERSION`` is part
+of every address, so a deliberate bump re-pins them (last at 3).
 """
 
 from repro.core import SimulationParameters
@@ -14,13 +15,13 @@ from repro.experiments.cache import cache_key
 #: SHA-256 address of the all-defaults configuration, pinned from the
 #: pre-refactor implementation.
 DEFAULTS_DIGEST = (
-    "54dea6966b3a27b7e07fd4cd0c36d65d3449aa409f508fed0a6645f919ef3a03"
+    "72375d7991186c9d81cb2f48c4445f99224afb85299c0811364eb15b93fb9fa6"
 )
 
 #: Address of the golden-regression configuration
 #: (tests/test_regression_golden.py), pinned the same way.
 GOLDEN_DIGEST = (
-    "21f26040f12c1722f7aa38d13db8e7b8db325ec74d44430f4d9387f693e66e5f"
+    "26440634f6a840f6287638ced0a7edb19a37d2c43457978673469ba680d577e8"
 )
 
 
