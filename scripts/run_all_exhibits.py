@@ -11,10 +11,15 @@ ordered longest-first, then run inline (``--jobs 0``) or packed onto
 one worker pool (``--jobs N``), so cores never idle at exhibit
 boundaries.  Either way the rows are identical.
 
+``--check`` simulates nothing: it reads ``DIR/*.json`` and prints one
+row per paper claim (exhibit, claim, verdict, the numbers compared),
+exiting 1 when any claim fails.
+
 Usage::
 
     python scripts/run_all_exhibits.py [--tmax 600] [--out results]
         [--npros-grid 1,10,30] [--only fig7,fig9] [--jobs 8]
+    python scripts/run_all_exhibits.py --check [--out results]
 """
 
 import argparse
@@ -23,9 +28,9 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments.figures import EXHIBITS
-from repro.experiments.runner import run_experiments
-from repro.experiments.storage import save_rows_csv, save_rows_json
+from repro.experiments.figures import EXHIBITS, FAILS, check_claims
+from repro.experiments.runner import ExperimentResult, run_experiments
+from repro.experiments.storage import load_rows_json, save_rows_csv, save_rows_json
 
 
 def parse_args(argv):
@@ -65,11 +70,48 @@ def parse_args(argv):
         "--resume", action="store_true",
         help="resume interrupted sweeps from their journals",
     )
+    parser.add_argument(
+        "--check", action="store_true",
+        help="simulate nothing; check every paper claim against --out's JSON rows",
+    )
     return parser.parse_args(argv)
 
 
-def _write_exhibit(key, spec, result, elapsed, out_dir, summary, svg):
+def _format(value):
+    if isinstance(value, float):
+        return "{:.4g}".format(value)
+    if isinstance(value, (list, tuple)):
+        return "[{}]".format(", ".join(_format(v) for v in value))
+    if isinstance(value, dict):
+        return "{{{}}}".format(
+            ", ".join("{}: {}".format(k, _format(v)) for k, v in value.items())
+        )
+    return str(value)
+
+
+def check(out_dir):
+    """Print every claim's verdict on the rows persisted in *out_dir*."""
+    results = {}
+    for key, builder in EXHIBITS.items():
+        path = out_dir / "{}.json".format(key)
+        if path.exists():
+            rows = load_rows_json(path)["rows"]
+            results[key] = ExperimentResult.from_rows(builder(), rows)
+    failed = False
+    for claim, verdict, numbers in check_claims(results):
+        numbers = _format(numbers)[1:-1]  # a dict: drop its braces
+        print("{:20s} {:38s} {:8s} {}".format(
+            claim.exhibit, claim.name, verdict, numbers
+        ).rstrip())
+        failed = failed or verdict == FAILS
+    return 1 if failed else 0
+
+
+def _write_exhibit(key, spec, result, out_dir, summary, svg):
     """Persist one exhibit's rows, series and summary entry."""
+    # Summed simulation time of the cells this exhibit ran; a cell
+    # shared with an earlier exhibit of the batch counts there.
+    compute = round(sum(config.seconds for config in result.stats.per_config), 1)
     rows = result.rows()
     save_rows_csv(rows, out_dir / "{}.csv".format(key))
     save_rows_json(
@@ -79,7 +121,7 @@ def _write_exhibit(key, spec, result, elapsed, out_dir, summary, svg):
             "exhibit": key,
             "title": spec.title,
             "tmax": spec.base.tmax,
-            "elapsed_seconds": round(elapsed, 1),
+            "compute_seconds": compute,
             "cache_hits": result.stats.cache_hits,
             "simulated_runs": result.stats.runs,
         },
@@ -94,7 +136,7 @@ def _write_exhibit(key, spec, result, elapsed, out_dir, summary, svg):
     summary[key] = {
         "title": spec.title,
         "series": series,
-        "elapsed_seconds": round(elapsed, 1),
+        "compute_seconds": compute,
     }
     if svg:
         from repro.experiments.svg import save_result_charts
@@ -105,6 +147,8 @@ def _write_exhibit(key, spec, result, elapsed, out_dir, summary, svg):
 def main(argv=None):
     args = parse_args(argv)
     out_dir = Path(args.out)
+    if args.check:
+        return check(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     npros_grid = tuple(int(x) for x in args.npros_grid.split(","))
     only = {key.strip() for key in args.only.split(",") if key.strip()}
@@ -160,7 +204,7 @@ def main(argv=None):
     print(file=sys.stderr)
     elapsed = time.time() - started
     for (key, spec), result in zip(selected, results):
-        _write_exhibit(key, spec, result, elapsed, out_dir, summary, args.svg)
+        _write_exhibit(key, spec, result, out_dir, summary, args.svg)
         print("done {} ({})".format(key, result.stats.summary()))
     if results:
         stats = results[0].stats

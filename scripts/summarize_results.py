@@ -6,22 +6,12 @@ Usage::
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from repro.experiments.figures import EXHIBITS
-
-
-def series_from_rows(rows, spec, y_field):
-    """Rebuild label -> {x: y} curves from persisted rows."""
-    curves = {}
-    for row in rows:
-        label = ", ".join(
-            "{}={}".format(name, row[name]) for name in spec.series_fields
-        ) or "all"
-        curves.setdefault(label, {})[row[spec.x_field]] = row[y_field]
-    return curves
+from repro.experiments.runner import ExperimentResult
+from repro.experiments.storage import load_rows_json
 
 
 def describe(key, directory):
@@ -29,14 +19,12 @@ def describe(key, directory):
     if not path.exists():
         print("{}: no data file".format(key))
         return
-    with open(path) as handle:
-        rows = json.load(handle)["rows"]
     spec = EXHIBITS[key]()
+    result = ExperimentResult.from_rows(spec, load_rows_json(path)["rows"])
     print("== {} ==".format(key))
     for y_field in spec.y_fields:
-        curves = series_from_rows(rows, spec, y_field)
-        for label, curve in sorted(curves.items()):
-            values = {x: y for x, y in curve.items() if y is not None}
+        for label, points in sorted(result.series(y_field).items()):
+            values = {x: y for x, y in points if y is not None}
             if not values:
                 continue
             best_x = max(values, key=values.get)

@@ -74,10 +74,14 @@ class ExperimentSpec:
         return tuple(getattr(params, name) for name in self.series_fields)
 
     def series_label(self, params):
-        """Human-readable label of the curve *params* belongs to."""
+        """Human-readable label of the curve *params* belongs to.
+
+        *params* is a :class:`SimulationParameters` or a result row.
+        """
+        if not isinstance(params, dict):
+            params = {name: getattr(params, name) for name in self.series_fields}
         parts = [
-            "{}={}".format(name, getattr(params, name))
-            for name in self.series_fields
+            "{}={}".format(name, params[name]) for name in self.series_fields
         ]
         return ", ".join(parts) if parts else "all"
 

@@ -279,13 +279,23 @@ class ExperimentResult:
         self.spec = spec
         self.outcomes = list(outcomes)
         self.stats = stats
+        self._rows = None
+
+    @classmethod
+    def from_rows(cls, spec, rows):
+        """A result rebuilt from persisted :meth:`rows` (no outcomes)."""
+        result = cls(spec, [])
+        result._rows = list(rows)
+        return result
 
     def __len__(self):
         return len(self.outcomes)
 
     def rows(self):
         """Flat dicts (parameters + mean outputs) for persistence."""
-        return [outcome.as_dict() for outcome in self.outcomes]
+        if self._rows is None:
+            self._rows = [outcome.as_dict() for outcome in self.outcomes]
+        return list(self._rows)
 
     def series(self, y_field=None):
         """Curves: mapping series label → list of (x, y) sorted by x.
@@ -294,10 +304,9 @@ class ExperimentResult:
         """
         y_field = y_field or self.spec.y_fields[0]
         curves = {}
-        for outcome in self.outcomes:
-            label = self.spec.series_label(outcome.params)
-            x = getattr(outcome.params, self.spec.x_field)
-            curves.setdefault(label, []).append((x, outcome.mean(y_field)))
+        for row in self.rows():
+            label = self.spec.series_label(row)
+            curves.setdefault(label, []).append((row[self.spec.x_field], row[y_field]))
         for points in curves.values():
             points.sort()
         return curves
