@@ -96,7 +96,7 @@ def test_missing_point_reads_no_data():
     coarse_only = {value: {100: curve[100]} for value, curve in FIG7.items()}
     results = {"fig7": result("fig7", "throughput", coarse_only)}
     assert verdict_of("fig7:zero_lock_io_flat", results) == NO_DATA
-    assert verdict_of("fig2:optimum_interior_below_200", results) == NO_DATA
+    assert verdict_of("fig2:optimum_below_200_locks", results) == NO_DATA
 
 
 def test_cross_exhibit_claim_reads_the_other_exhibit():
