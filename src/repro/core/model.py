@@ -71,13 +71,12 @@ class LockingGranularityModel:
 
     Optional extras: ``trace`` (any sink with
     ``emit(time, kind, subject, **details)`` — receives every
-    lifecycle, lock-manager and scheduler event), ``size_sampler``
-    (any ``sample(rng) -> int``, replaces the workload's size
-    distribution), ``telemetry`` (never touches a random stream, so
-    results are unchanged), ``fault_plan`` (inert when ``None`` or
-    empty, otherwise drives crashes/slowdowns/stalls from its own
-    streams), ``backoff`` (the default reproduces the historical
-    ``uniform(0, 1)`` draw bit-for-bit) and ``metrics_registry`` (a
+    lifecycle, lock-manager and scheduler event), ``telemetry``
+    (never touches a random stream, so results are unchanged),
+    ``fault_plan`` (inert when ``None`` or empty, otherwise drives
+    crashes/slowdowns/stalls from its own streams), ``backoff`` (the
+    default reproduces the historical ``uniform(0, 1)`` draw
+    bit-for-bit) and ``metrics_registry`` (a
     :class:`repro.obs.metrics.MetricsRegistry`; live counters, gauges
     and lock-wait histograms updated as the run progresses — the
     instrumentation never schedules events or draws randomness, so
@@ -88,7 +87,6 @@ class LockingGranularityModel:
         self,
         params,
         trace=None,
-        size_sampler=None,
         telemetry=None,
         fault_plan=None,
         backoff=None,
@@ -122,9 +120,7 @@ class LockingGranularityModel:
             self.cluster = None
         self.placement = make_placement(params)
         self.partitioning = make_partitioning(params)
-        self.sizes = (
-            size_sampler if size_sampler is not None else make_size_sampler(params)
-        )
+        self.sizes = make_size_sampler(params)
         # Multi-class plumbing: a dedicated class-pick stream plus one
         # size stream per class (seeded from ("sizes", name), so adding
         # or renaming a class never perturbs the others), and per-class

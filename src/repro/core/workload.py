@@ -120,47 +120,6 @@ class FixedSizes:
         return float(self.size)
 
 
-class TraceSizes:
-    """Replay transaction sizes from a recorded trace.
-
-    Sizes are consumed in order and wrap around when exhausted, so a
-    short trace drives an arbitrarily long run.  Useful for
-    bring-your-own-workload studies and regression comparisons where
-    the exact size sequence must be held fixed across configurations.
-    """
-
-    def __init__(self, sizes):
-        sizes = [int(size) for size in sizes]
-        if not sizes:
-            raise ValueError("trace must contain at least one size")
-        if any(size < 1 for size in sizes):
-            raise ValueError("trace sizes must be >= 1")
-        self.sizes = sizes
-        self._index = 0
-
-    @classmethod
-    def from_csv(cls, path, column="nu"):
-        """Load sizes from a CSV file with a *column* of integers."""
-        import csv
-
-        sizes = []
-        with open(path, newline="") as handle:
-            for row in csv.DictReader(handle):
-                sizes.append(int(row[column]))
-        return cls(sizes)
-
-    def sample(self, rng):
-        """Next size from the trace (rng unused; interface parity)."""
-        size = self.sizes[self._index % len(self.sizes)]
-        self._index += 1
-        return size
-
-    @property
-    def mean(self):
-        """Mean of the recorded sizes."""
-        return sum(self.sizes) / len(self.sizes)
-
-
 def class_size_sampler(cls):
     """The per-class sampler for one :class:`TransactionClass`."""
     if cls.size_dist == "fixed":

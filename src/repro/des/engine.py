@@ -146,35 +146,20 @@ class Environment:
 
         The single copy of the dispatch order for ticks and events,
         shared by :meth:`step` and the hot loop of :meth:`_dispatch`.
-        A tick resumes its sleeping process directly (no event object,
-        no callback list) and requeues the next bare delay; any other
-        entry is an :class:`Event`, whose single waiter fires before
-        its listed callbacks.
+        A live tick resumes its sleeping process with no event object;
+        any other entry is an :class:`Event`, whose callbacks run in the
+        order they were added.
         """
         if cls is Process and eid <= event._tick_eid:
             # A tick entry: a process's own completion entry is pushed
-            # after its last tick, so it carries a larger eid.
-            if eid != event._tick_eid or event._target is not _TICK:
-                return  # stale: an interrupt already resumed the process
-            try:
-                delay = event._generator.send(None)
-            except StopIteration as stop:
-                event._finish_stop(stop)
-            except BaseException as error:
-                event._finish_error(error)
-            else:
-                dcls = delay.__class__
-                if dcls is float or dcls is int:
-                    self.schedule_tick(event, delay)
-                else:
-                    event._resume(None, delay)
+            # after its last tick, so it carries a larger eid.  Only the
+            # latest tick of a still-sleeping process is live; the rest
+            # are stale (an interrupt already resumed the process).
+            if eid == event._tick_eid and event._target is _TICK:
+                event._resume()
             return
         callbacks = event.callbacks
         event.callbacks = None
-        waiter = event._waiter
-        if waiter is not None:
-            event._waiter = None
-            waiter(event)
         for callback in callbacks:
             callback(event)
         if not event._ok and not event._defused:

@@ -22,8 +22,8 @@ from repro.des.errors import SimulationError
 PENDING = object()
 
 #: Default scheduling priority.  Events scheduled at the same time are
-#: processed in (priority, insertion order).  Urgent events (e.g.
-#: process initialisation) use :data:`URGENT` so they run before
+#: processed in (priority, insertion order).  Urgent entries (a
+#: process's start, an interrupt) use :data:`URGENT` so they run before
 #: ordinary events at the same instant.
 NORMAL = 1
 URGENT = 0
@@ -41,14 +41,7 @@ class Event:
     # Events are allocated by the million on the simulation hot path;
     # __slots__ drops the per-instance dict (smaller, faster attribute
     # access).  Subclasses must declare their own __slots__ too.
-    #
-    # ``_waiter`` is the single-waiter fast path: when exactly one
-    # process waits on a Timeout (the ubiquitous ``yield env.timeout(d)``
-    # pattern), its bound resume callback is stored here instead of in
-    # the ``callbacks`` list, and the run loop invokes it directly —
-    # before the list, preserving the append order the generic path
-    # would have produced.
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_waiter")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, env):
         self.env = env
@@ -58,7 +51,6 @@ class Event:
         self._value = PENDING
         self._ok = None
         self._defused = False
-        self._waiter = None
 
     def __repr__(self):
         return "<{} object at {:#x}>".format(type(self).__name__, id(self))
@@ -123,33 +115,15 @@ class Timeout(Event):
     __slots__ = ("_delay",)
 
     def __init__(self, env, delay, value=None):
-        # Timeouts dominate event allocation; the base __init__ is
-        # inlined here (one call frame saved per timeout) and the
-        # delay check is left to Environment.schedule.
-        self.env = env
-        self.callbacks = []
+        # The delay check is left to Environment.schedule.
+        super().__init__(env)
         self._ok = True
         self._value = value
-        self._defused = False
-        self._waiter = None
         self._delay = delay
         env.schedule(self, delay=delay)
 
     def __repr__(self):
         return "<Timeout({}) object at {:#x}>".format(self._delay, id(self))
-
-
-class Initialize(Event):
-    """Starts a newly created process at the current instant."""
-
-    __slots__ = ()
-
-    def __init__(self, env, process):
-        super().__init__(env)
-        self.callbacks.append(process._resume_cb)
-        self._ok = True
-        self._value = None
-        env.schedule(self, delay=0, priority=URGENT)
 
 
 class AnyOf(Event):

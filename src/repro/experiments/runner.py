@@ -428,9 +428,6 @@ def run_experiment(spec, journal=None, **options):
         process pool fans individual replication runs out.  Results
         are aggregated in seed order either way, so ``jobs=N`` is
         bit-identical to an inline run.
-    progress:
-        Optional callable ``progress(done, total)`` invoked whenever a
-        configuration (all its replications) finishes.
     cache:
         ``None`` uses the default on-disk cache (``results/.cache``;
         honour ``REPRO_CACHE_DIR``, disable globally with
@@ -542,7 +539,6 @@ def run_experiments(
     specs,
     replications=1,
     jobs=None,
-    progress=None,
     cache=None,
     refresh=False,
     cell_progress=None,
@@ -575,9 +571,9 @@ def run_experiments(
     * pending cells are ordered longest-expected-cell-first
       (``tmax * npros * ntrans``), so expensive cells start early and
       cheap ones backfill idle workers near the end of the queue.
-    * ``progress(done, total)`` / ``cell_progress(done, total, info)``
-      count globally across the batch, and *info* gains a ``"spec"``
-      key with the requesting spec's key.
+    * ``cell_progress(done, total, info)`` counts globally across the
+      batch, and *info* gains a ``"spec"`` key with the requesting
+      spec's key.
 
     Returns a list of :class:`ExperimentResult`, aligned with *specs*.
     """
@@ -631,9 +627,7 @@ def run_experiments(
             }
             ctx.stats.accelerator = accelerator
     total_cells = sum(len(ctx.cells) for ctx in contexts)
-    total_configs = sum(len(ctx.configs) for ctx in contexts)
     done_cells = 0
-    done_configs = 0
     sweep_inst = None
     snapshot_writer = None
     if metrics is not None:
@@ -660,7 +654,7 @@ def run_experiments(
 
     def settle(ctx, i, r, value, source, seconds=None):
         """File one resolved cell, report it, and close its config."""
-        nonlocal done_cells, done_configs, journal_done
+        nonlocal done_cells, journal_done
         ctx.grid[i][r] = value
         done_cells += 1
         if ctx.journal is not None:
@@ -699,9 +693,6 @@ def run_experiments(
         ctx.outcomes[i] = (
             prediction if prediction is not None else aggregate(ctx.grid[i])
         )
-        done_configs += 1
-        if progress is not None:
-            progress(done_configs, total_configs)
 
     resumed_results = {}
     for ctx, journal in zip(contexts, journals):

@@ -11,11 +11,13 @@ Design rules, in priority order:
    draws from a random stream or consumes a kernel event id, so runs
    are bit-identical with metrics on or off (pinned by
    ``tests/obs/test_metrics.py``).
-2. **Disabled means free.**  A disabled registry hands every caller
-   the same shared no-op instrument, and every instrumentation site in
-   the model guards with a single ``is not None`` branch, so an
-   uninstrumented run pays nothing; the cost of a subscribed run is
-   gated by ``benchmarks/metrics_overhead.py``.
+2. **No subscriber means free.**  The model's one probe
+   (:class:`repro.core.metrics.MetricsCollector`) holds its
+   instruments only when a registry is attached, and every
+   instrumentation site guards them with a single ``is not None``
+   branch, so an uninstrumented run touches no instrument at all; the
+   cost of a subscribed run is gated by
+   ``benchmarks/metrics_overhead.py``.
 3. **The kernel inner loop is never instrumented.**  Kernel quantities
    (events dispatched, heap depth) are *polled* by
    registered collectors at snapshot/scrape time, costing zero inside
@@ -41,7 +43,6 @@ parent-side.
 """
 
 import math
-import os
 from bisect import bisect_left
 
 #: Default cap on distinct label sets per metric family.  Beyond it,
@@ -71,37 +72,6 @@ DEFAULT_TIME_BUCKETS = log_buckets(0.01, 2.0, 16)
 
 #: Default edges for small counts (attempts, chain lengths).
 DEFAULT_COUNT_BUCKETS = log_buckets(1.0, 2.0, 12)
-
-
-def metrics_enabled(environ=None):
-    """True when ``REPRO_METRICS`` requests instrumentation."""
-    env = os.environ if environ is None else environ
-    return env.get("REPRO_METRICS", "") not in ("", "0")
-
-
-class _NullInstrument:
-    """Shared no-op stand-in for every instrument of a disabled registry.
-
-    All mutators are empty methods and :meth:`labels` returns the same
-    singleton, so the disabled path allocates nothing per call.
-    """
-
-    __slots__ = ()
-
-    def labels(self, *values, **kv):
-        return self
-
-    def inc(self, amount=1):
-        pass
-
-    def set(self, value):
-        pass
-
-    def observe(self, value):
-        pass
-
-
-NULL_INSTRUMENT = _NullInstrument()
 
 
 class CounterSeries:
@@ -290,18 +260,9 @@ class MetricFamily:
 
 
 class MetricsRegistry:
-    """Holds metric families and the collectors that refresh them.
+    """Holds metric families and the collectors that refresh them."""
 
-    Parameters
-    ----------
-    enabled:
-        ``False`` turns every factory into a :data:`NULL_INSTRUMENT`
-        dispenser — the zero-cost path for instrumented code that runs
-        without metrics.
-    """
-
-    def __init__(self, enabled=True):
-        self.enabled = enabled
+    def __init__(self):
         self._families = {}
         self._collectors = []
 
@@ -313,8 +274,6 @@ class MetricsRegistry:
         return self._families.get(name)
 
     def _register(self, name, help_text, kind, labels, buckets, max_series):
-        if not self.enabled:
-            return NULL_INSTRUMENT
         family = self._families.get(name)
         if family is not None:
             if family.kind != kind:
@@ -357,8 +316,7 @@ class MetricsRegistry:
         Collectors poll state that is too hot to instrument inline
         (the kernel loop, the lock table) and push it into gauges.
         """
-        if self.enabled:
-            self._collectors.append(fn)
+        self._collectors.append(fn)
 
     def collect(self):
         """Run every collector; a failing collector never fails a scrape."""
@@ -392,7 +350,7 @@ class MetricsRegistry:
         start empty.  Histogram series with mismatched bucket edges
         are skipped rather than corrupted.
         """
-        if not self.enabled or not metrics:
+        if not metrics:
             return
         for name, doc in metrics.items():
             kind = doc.get("type")

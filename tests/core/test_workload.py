@@ -77,68 +77,6 @@ class TestFixedSizes:
             FixedSizes(0)
 
 
-class TestTraceSizes:
-    def test_replays_in_order_and_wraps(self, rng):
-        from repro.core.workload import TraceSizes
-
-        sampler = TraceSizes([3, 7, 11])
-        drawn = [sampler.sample(rng) for _ in range(7)]
-        assert drawn == [3, 7, 11, 3, 7, 11, 3]
-
-    def test_mean(self):
-        from repro.core.workload import TraceSizes
-
-        assert TraceSizes([2, 4, 6]).mean == 4.0
-
-    def test_validation(self):
-        from repro.core.workload import TraceSizes
-
-        with pytest.raises(ValueError):
-            TraceSizes([])
-        with pytest.raises(ValueError):
-            TraceSizes([1, 0])
-
-    def test_from_csv(self, tmp_path, rng):
-        from repro.core.workload import TraceSizes
-
-        path = tmp_path / "trace.csv"
-        path.write_text("txn,nu\n1,5\n2,9\n")
-        sampler = TraceSizes.from_csv(path)
-        assert sampler.sample(rng) == 5
-        assert sampler.sample(rng) == 9
-
-    def test_drives_the_model(self, rng):
-        from repro.core.model import LockingGranularityModel
-        from repro.core.workload import TraceSizes
-
-        params = SimulationParameters(
-            dbsize=200, ltot=10, ntrans=3, maxtransize=20, npros=2,
-            tmax=100.0,
-        )
-        model = LockingGranularityModel(
-            params, size_sampler=TraceSizes([5, 10, 15])
-        )
-        result = model.run()
-        assert result.totcom > 0
-
-    def test_identical_traces_identical_results(self):
-        from repro.core.model import LockingGranularityModel
-        from repro.core.workload import TraceSizes
-
-        params = SimulationParameters(
-            dbsize=200, ltot=10, ntrans=3, maxtransize=20, npros=2,
-            tmax=100.0,
-        )
-        a = LockingGranularityModel(
-            params, size_sampler=TraceSizes([5, 10, 15])
-        ).run()
-        b = LockingGranularityModel(
-            params, size_sampler=TraceSizes([5, 10, 15])
-        ).run()
-        assert a.totcom == b.totcom
-        assert a.response_time == b.response_time
-
-
 class TestFactory:
     def test_uniform(self):
         sampler = make_size_sampler(SimulationParameters(workload="uniform"))

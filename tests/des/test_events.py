@@ -69,6 +69,18 @@ class TestEvent:
         env.run()
         assert seen == ["payload"]
         assert event.processed
+        # A process that yielded a Timeout resumes before a callback
+        # appended to it afterwards.
+        timeout = env.timeout(1, value="resumed")
+
+        def waiter(env):
+            seen.append((yield timeout))
+
+        env.process(waiter(env))
+        env.step()  # start the process: it yields the timeout
+        timeout.callbacks.append(lambda e: seen.append("appended"))
+        env.run()
+        assert seen == ["payload", "resumed", "appended"]
 
 
 class TestTimeout:

@@ -18,9 +18,12 @@ class TestBasics:
             seen.append(env.now)
             yield env.timeout(1)
 
+        env.schedule_callback(lambda: seen.append("callback"), 0)
         env.process(proc(env))
         env.run()
-        assert seen == [0]
+        # The process starts ahead of an ordinary entry due at the
+        # same instant, even one scheduled before it was created.
+        assert seen == [0, "callback"]
 
     def test_return_value_becomes_event_value(self, env):
         def proc(env):
@@ -39,17 +42,24 @@ class TestBasics:
         env.run()
         assert not process.is_alive
 
-    def test_processes_can_wait_on_processes(self, env):
-        def inner(env):
-            yield env.timeout(3)
-            return "inner-done"
+    def test_processes_can_wait_on_processes(self):
+        # The second input wakes from a bare-delay tick first, then
+        # yields the (pending) inner process.
+        for lead in (None, 1.0):
+            env = Environment()
 
-        def outer(env):
-            value = yield env.process(inner(env))
-            return (value, env.now)
+            def inner(env):
+                yield env.timeout(3)
+                return "inner-done"
 
-        outer_proc = env.process(outer(env))
-        assert env.run(until=outer_proc) == ("inner-done", 3)
+            def outer(env):
+                if lead is not None:
+                    yield lead
+                value = yield env.process(inner(env))
+                return (value, env.now)
+
+            outer_proc = env.process(outer(env))
+            assert env.run(until=outer_proc) == ("inner-done", 3 + (lead or 0))
 
     def test_yielding_non_event_raises(self, env):
         # Bare ints/floats are valid delay yields, so a string is the
@@ -61,25 +71,43 @@ class TestBasics:
         with pytest.raises(SimulationError):
             env.run()
 
-    def test_exception_in_process_propagates(self, env):
-        def proc(env):
-            yield env.timeout(1)
-            raise ValueError("inside")
+    def test_exception_in_process_propagates(self):
+        # After a Timeout, after a bare-delay tick, and an Interrupt the
+        # process lets escape after a tick: each leaves run() and ends
+        # the process's life.
+        cases = [
+            (lambda env: env.timeout(1), ValueError("inside")),
+            (lambda env: 1, ValueError("inside")),
+            (lambda env: 1, Interrupt("escaped")),
+        ]
+        for wait, error in cases:
+            env = Environment()
 
-        env.process(proc(env))
-        with pytest.raises(ValueError, match="inside"):
+            def proc(env):
+                yield wait(env)
+                raise error
+
+            env.process(proc(env))
+            with pytest.raises(type(error), match=str(error)):
+                env.run()
+            assert env.live_process_count == 0
+
+    def test_waiting_on_already_processed_event(self):
+        # The second input yields the processed event right after a
+        # bare-delay tick resumed it.
+        for lead in (None, 0.5):
+            env = Environment()
+            done = env.timeout(0, value="early")
             env.run()
 
-    def test_waiting_on_already_processed_event(self, env):
-        done = env.timeout(0, value="early")
-        env.run()
+            def proc(env):
+                if lead is not None:
+                    yield lead
+                value = yield done
+                return value
 
-        def proc(env):
-            value = yield done
-            return value
-
-        process = env.process(proc(env))
-        assert env.run(until=process) == "early"
+            process = env.process(proc(env))
+            assert env.run(until=process) == "early"
 
     def test_failed_event_raises_at_yield(self, env):
         trigger = env.event()
@@ -163,12 +191,13 @@ class TestInterrupt:
         env.run()
         assert resumed == ["interrupt", "second-wait"]
 
-    @pytest.mark.parametrize("then", ["return", "wait"])
+    @pytest.mark.parametrize("then", ["return", "wait", "sleep"])
     def test_stale_tick_after_the_process_moved_on(self, env, then):
         """A bare-delay sleep cut short by an interrupt leaves its tick
         on the heap.  When that tick comes due after the process has
-        finished, or while it waits on an event, it is dropped: the
-        process neither resumes nor completes a second time."""
+        finished, while it waits on an event, or while it sleeps on a
+        newer tick, it is dropped: the process neither resumes nor
+        completes a second time."""
 
         def victim(env):
             try:
@@ -177,6 +206,8 @@ class TestInterrupt:
                 pass
             if then == "wait":
                 yield env.timeout(20.0)
+            elif then == "sleep":
+                yield 20.0
             return env.now
 
         process = env.process(victim(env))
@@ -187,10 +218,10 @@ class TestInterrupt:
             return (value, env.now)
 
         joined = env.process(joiner(env))
-        expected = 21.0 if then == "wait" else 1.0
+        expected = 1.0 if then == "return" else 21.0
         assert env.run(until=joined) == (expected, expected)
         env.run()
-        assert env.now == (21.0 if then == "wait" else 10.0)
+        assert env.now == (10.0 if then == "return" else 21.0)
 
 
 class TestForkJoin:

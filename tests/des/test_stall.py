@@ -64,10 +64,11 @@ class TestDryHeapDetection:
         assert env.now == 100.0
 
     def test_finished_process_is_not_live(self, env):
-        def worker(env):
-            yield env.timeout(2.0)
+        def worker(env, wait):
+            yield wait
 
-        env.process(worker(env))
+        env.process(worker(env, env.timeout(2.0)))
+        env.process(worker(env, 2.0))  # returns straight from a tick
         env.run(until=100.0)
         assert env.live_process_count == 0
         assert env.now == 100.0

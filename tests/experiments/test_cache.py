@@ -285,7 +285,7 @@ class TestRunExperimentCaching:
         seen = []
         run_experiment(
             tiny_spec, cache=cache,
-            progress=lambda done, total: seen.append((done, total)),
+            cell_progress=lambda done, total, info: seen.append((done, total)),
         )
         assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 

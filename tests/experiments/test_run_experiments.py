@@ -81,9 +81,14 @@ class TestBatchedQueue:
         run_experiments(
             [_spec("a"), _spec("b", tmax=60.0)],
             cache=False,
-            progress=lambda done, total: ticks.append((done, total)),
+            cell_progress=lambda done, total, info: ticks.append(
+                (done, total, info["spec"])
+            ),
         )
-        assert ticks == [(i + 1, 8) for i in range(8)]
+        assert [(done, total) for done, total, _ in ticks] == [
+            (i + 1, 8) for i in range(8)
+        ]
+        assert {spec for _, _, spec in ticks} == {"a", "b"}
 
     def test_stats_gain_queue_fields(self):
         result = run_experiments([_spec("a")], cache=False)[0]

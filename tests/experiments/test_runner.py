@@ -97,11 +97,6 @@ class TestRunExperiment:
         result = run_experiment(tiny_spec, replications=2)
         assert all(len(outcome) == 2 for outcome in result.outcomes)
 
-    def test_progress_callback(self, tiny_spec):
-        seen = []
-        run_experiment(tiny_spec, progress=lambda done, total: seen.append((done, total)))
-        assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
-
     def test_cell_progress_fires_per_replication(self, tiny_spec):
         seen = []
         run_experiment(

@@ -4,8 +4,8 @@ Three contracts matter more than any individual counter:
 
 * registry semantics — counters only go up, histograms bucket on the
   committed edges, label cardinality is capped;
-* the disabled path is free — a disabled registry hands out one
-  shared null instrument and never allocates per call;
+* no subscriber, no instrument — a model built without a registry
+  hands its probe no instruments, so every ``is not None`` guard skips;
 * eid-stream neutrality — attaching a registry to a model changes
   *nothing* about the simulation: results are field-for-field
   identical and the content address (cache digest) does not move.
@@ -18,7 +18,6 @@ from repro.core.model import LockingGranularityModel
 from repro.experiments.cache import cache_key
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS,
-    NULL_INSTRUMENT,
     OVERFLOW_LABEL,
     MetricsRegistry,
     RunInstruments,
@@ -130,44 +129,6 @@ def test_cardinality_guard_collapses_overflow_series():
     assert family.snapshot()["dropped"] == 7
 
 
-# -- disabled path -------------------------------------------------------
-
-
-def test_disabled_registry_hands_out_the_null_instrument():
-    registry = MetricsRegistry(enabled=False)
-    counter = registry.counter("c", "help")
-    hist = registry.histogram("h", "help")
-    assert counter is NULL_INSTRUMENT
-    assert hist is NULL_INSTRUMENT
-    assert counter.labels("anything") is NULL_INSTRUMENT
-    counter.inc()
-    hist.observe(1.0)
-    assert registry.snapshot() == {}
-
-
-def test_null_instrument_calls_do_not_allocate():
-    import gc
-    import sys
-
-    counter = MetricsRegistry(enabled=False).counter("c", "help")
-
-    def exercise():
-        for _ in range(1000):
-            counter.inc()
-            counter.labels("x").observe(2.0)
-
-    # Warm-up pass first: the interpreter lazily materialises method
-    # caches on the first calls, which is noise, not a leak.
-    exercise()
-    gc.collect()
-    before = sys.getallocatedblocks()
-    exercise()
-    # 2000 instrument calls; anything near one block per call would
-    # mean the null path allocates.  A handful of blocks is
-    # interpreter jitter.
-    assert sys.getallocatedblocks() - before <= 10
-
-
 def test_registering_same_name_with_different_kind_raises():
     registry = MetricsRegistry()
     registry.counter("c", "help")
@@ -212,7 +173,11 @@ def test_summarize_snapshot_flattens_names_and_quantiles():
 
 def test_golden_run_is_bit_identical_with_metrics_attached():
     params = SimulationParameters(**GOLDEN_PARAMS)
-    plain = LockingGranularityModel(params).run()
+    bare = LockingGranularityModel(params)
+    # No subscriber: the probe holds no instruments, so every
+    # ``is not None`` guard skips them.
+    assert bare.metrics.instruments is None
+    plain = bare.run()
     registry = MetricsRegistry()
     instrumented = LockingGranularityModel(
         params, metrics_registry=registry
