@@ -157,16 +157,20 @@ class MetricsCollector:
 
     # -- the probe: results, then trace, then live metrics ---------------
 
-    def emit(self, kind, txn, **details):
-        """A lifecycle record for *txn* that only the trace keeps."""
-        if self.trace is not None:
-            self.trace.emit(self.env.now, kind, txn.tid, **details)
+    def emit(self, kind, txn, details):
+        """A lifecycle record for *txn* that only the trace keeps.
 
-    def system_event(self, kind, **details):
+        *details* is the record's one dict, passed to the sink as it
+        is; callers build it only when a trace is attached.
+        """
+        if self.trace is not None:
+            self.trace.emit(self.env._now, kind, txn.tid, details)
+
+    def system_event(self, kind, details):
         """A system record (subject 0) that only the trace keeps; also
         the admission policy's ``notify`` hook (``mpl_change``)."""
         if self.trace is not None:
-            self.trace.emit(self.env.now, kind, 0, **details)
+            self.trace.emit(self.env._now, kind, 0, details)
 
     def note_occupancy(self):
         """The conflict engine's active set or lock count changed."""
@@ -179,8 +183,8 @@ class MetricsCollector:
             self.lock_requests += 1
         if self.trace is not None:
             self.trace.emit(
-                self.env.now, "lock_request", txn.tid,
-                attempt=txn.attempts, locks=locks,
+                self.env._now, "lock_request", txn.tid,
+                {"attempt": txn.attempts, "locks": locks},
             )
         if self.instruments is not None:
             self.instruments.lock_requests.inc()
@@ -191,7 +195,7 @@ class MetricsCollector:
             self.lock_denials += 1
         if self.trace is not None:
             self.trace.emit(
-                self.env.now, "lock_deny", txn.tid, blocker=blocker.tid
+                self.env._now, "lock_deny", txn.tid, {"blocker": blocker.tid}
             )
         if self.instruments is not None:
             self.instruments.lock_denials.inc()
@@ -205,7 +209,9 @@ class MetricsCollector:
         """
         self.blocked.increment(1)
         if blocker is not None and self.trace is not None:
-            self.trace.emit(self.env.now, "block", txn.tid, blocker=blocker.tid)
+            self.trace.emit(
+                self.env._now, "block", txn.tid, {"blocker": blocker.tid}
+            )
 
     def note_wake(self, txn, since, granule=None):
         """*txn*, waiting since *since* (on *granule*, if queued in the
@@ -217,10 +223,10 @@ class MetricsCollector:
         """
         self.blocked.increment(-1)
         if granule is None and self.trace is not None:
-            self.trace.emit(self.env.now, "wake", txn.tid)
+            self.trace.emit(self.env._now, "wake", txn.tid, {})
         if self.instruments is not None:
             self.instruments.observe_lock_wait(
-                self.env.now - since, granule=granule,
+                self.env._now - since, granule=granule,
                 txn_class=txn.class_name,
             )
 
@@ -240,11 +246,14 @@ class MetricsCollector:
             if cls is not None and cls in self.class_stats:
                 self.class_stats[cls].aborts += 1
         if self.trace is not None:
-            now = self.env.now
+            now = self.env._now
             if blocker is not None:
-                self.trace.emit(now, "lock_deny", txn.tid, blocker=blocker.tid)
+                self.trace.emit(
+                    now, "lock_deny", txn.tid, {"blocker": blocker.tid}
+                )
             self.trace.emit(
-                now, "abort", txn.tid, aborts=txn.aborts, reason=reason
+                now, "abort", txn.tid,
+                {"aborts": txn.aborts, "reason": reason},
             )
         if self.instruments is not None:
             self.instruments.lock_denials.inc()
@@ -261,8 +270,8 @@ class MetricsCollector:
             self.failure_aborts += 1
         if self.trace is not None:
             self.trace.emit(
-                self.env.now, "retry", txn.tid,
-                node=node, retries=txn.fault_retries,
+                self.env._now, "retry", txn.tid,
+                {"node": node, "retries": txn.fault_retries},
             )
         if self.instruments is not None:
             self.instruments.note_abort("fault")
@@ -276,8 +285,8 @@ class MetricsCollector:
             self.commit_aborts += 1
         if self.trace is not None:
             self.trace.emit(
-                self.env.now, "commit_abort", txn.tid,
-                reason=reason, retries=txn.commit_retries,
+                self.env._now, "commit_abort", txn.tid,
+                {"reason": reason, "retries": txn.commit_retries},
             )
         if self.instruments is not None:
             self.instruments.note_commit_event("abort")
@@ -298,14 +307,14 @@ class MetricsCollector:
 
     def note_election(self, primary, was):
         """A failover election replaced primary *was* by *primary*."""
-        self.system_event("election", primary=primary, was=was)
+        self.system_event("election", {"primary": primary, "was": was})
         if self.instruments is not None:
             self.instruments.note_commit_event("election")
 
     def note_completion(self, txn):
         """*txn* committed and released its locks."""
         cls = txn.class_name
-        response = self.env.now - txn.arrival
+        response = self.env._now - txn.arrival
         self.note_occupancy()
         if self._measuring:
             if cls is not None and cls in self.class_stats:
@@ -325,7 +334,9 @@ class MetricsCollector:
             self.response_samples.append(response)
             self.attempts.observe(txn.attempts)
         if self.trace is not None:
-            self.trace.emit(self.env.now, "complete", txn.tid, response=response)
+            self.trace.emit(
+                self.env._now, "complete", txn.tid, {"response": response}
+            )
         if self.instruments is not None:
             self.instruments.commits.inc()
             if txn.attempts > 1:
@@ -352,22 +363,25 @@ class MetricsCollector:
             subject = getattr(owner, "tid", owner)
             if event == "queue":
                 trace.emit(
-                    self.env.now, "block", subject,
-                    granule=granule, mode=mode.name, holders=holders,
+                    self.env._now, "block", subject,
+                    {"granule": granule, "mode": mode.name, "holders": holders},
                 )
             elif event == "promote":
                 trace.emit(
-                    self.env.now, "lock_promote", subject,
-                    granule=granule, mode=mode.name,
+                    self.env._now, "lock_promote", subject,
+                    {"granule": granule, "mode": mode.name},
                 )
             else:
-                trace.emit(self.env.now, "lock_cancel", subject, granule=granule)
+                trace.emit(
+                    self.env._now, "lock_cancel", subject, {"granule": granule}
+                )
         if self.instruments is not None:
             self.instruments.note_lock_event(event, mode.name)
 
-    def note_fault(self, kind, **details):
-        """The fault injector's hook: one fault transition (subject 0)."""
-        self.system_event(kind, **details)
+    def note_fault(self, kind, details):
+        """The fault injector's hook: one fault transition (subject 0)
+        with its *details* dict."""
+        self.system_event(kind, details)
         if self.instruments is not None:
             self.instruments.note_fault(kind)
 

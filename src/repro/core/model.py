@@ -70,7 +70,7 @@ class LockingGranularityModel:
     built per run so repeated runs never share state).
 
     Optional extras: ``trace`` (any sink with
-    ``emit(time, kind, subject, **details)`` — receives every
+    ``emit(time, kind, subject, details)`` — receives every
     lifecycle, lock-manager and scheduler event), ``telemetry``
     (never touches a random stream, so results are unchanged),
     ``fault_plan`` (inert when ``None`` or empty, otherwise drives
@@ -265,10 +265,10 @@ class LockingGranularityModel:
         traced = probe.trace is not None
         txn.arrival = self.env.now
         if traced:
-            probe.emit("arrive", txn, nu=txn.nu, locks=txn.lock_count)
+            probe.emit("arrive", txn, {"nu": txn.nu, "locks": txn.lock_count})
         yield from self.admission.admit(txn)
         if traced:
-            probe.emit("admit", txn)
+            probe.emit("admit", txn, {})
         while True:
             try:
                 yield from self.cc.acquire(txn)
@@ -313,13 +313,16 @@ class LockingGranularityModel:
         traced = probe.trace is not None
         processors = self.partitioning.processors(self.rngs["partitioning"])
         if traced:
-            probe.emit("exec", txn, pu=len(processors))
+            probe.emit("exec", txn, {"pu": len(processors)})
         shares = split_entities(txn.nu, len(processors))
         subs = []
         for sub, (index, entities) in enumerate(zip(processors, shares)):
             if entities > 0:
                 if traced:
-                    probe.emit("fork", txn, sub=sub, node=index, entities=entities)
+                    probe.emit(
+                        "fork", txn,
+                        {"sub": sub, "node": index, "entities": entities},
+                    )
                 subs.append((sub, index, entities))
         # Counted before any sub starts: a sub on a down node reports
         # as it starts, and must not close the join on its siblings.
@@ -328,14 +331,14 @@ class LockingGranularityModel:
             _Subtransaction(self, txn, sub, index, entities, join, traced)
         ok = yield join.event
         if traced:
-            probe.emit("join", txn, subs=len(subs))
+            probe.emit("join", txn, {"subs": len(subs)})
         return ok
 
     # -- completion ----------------------------------------------------------
 
     def _complete(self, txn):
         if self.metrics.trace is not None:
-            self.metrics.emit("commit", txn, attempts=txn.attempts)
+            self.metrics.emit("commit", txn, {"attempts": txn.attempts})
         self.conflicts.release(txn)
         self.metrics.note_completion(txn)
         self.wake_waiters(txn)
@@ -365,10 +368,10 @@ class _Subtransaction:
         #: The CPU demand still to submit; ``None`` once on the CPU.
         self.cpu_demand = entities * model.params.cputime
         self.join = join
-        # Decided once per sub: an untraced run builds no emit kwargs.
+        # Decided once per sub: an untraced run builds no details dict.
         self.probe = probe = model.metrics if traced else None
         if probe is not None:
-            probe.emit("io_start", txn, sub=sub, node=index)
+            probe.emit("io_start", txn, {"sub": sub, "node": index})
         self.node.io(entities * model.params.iotime, self)
 
     # -- completion target (called by the node's servers) ----------------
@@ -378,12 +381,17 @@ class _Subtransaction:
         demand = self.cpu_demand
         if demand is None:
             if probe is not None:
-                probe.emit("cpu_end", self.txn, sub=self.sub, node=self.index)
+                probe.emit(
+                    "cpu_end", self.txn, {"sub": self.sub, "node": self.index}
+                )
             self.join.succeed()
             return
         if probe is not None:
-            probe.emit("io_end", self.txn, sub=self.sub, node=self.index)
-            probe.emit("cpu_start", self.txn, sub=self.sub, node=self.index)
+            txn = self.txn
+            sub = self.sub
+            index = self.index
+            probe.emit("io_end", txn, {"sub": sub, "node": index})
+            probe.emit("cpu_start", txn, {"sub": sub, "node": index})
         self.cpu_demand = None
         self.node.compute(demand, self)
 
@@ -393,7 +401,7 @@ class _Subtransaction:
             return
         if self.probe is not None:
             self.probe.emit(
-                "sub_fail", self.txn, sub=self.sub, node=exception.index
+                "sub_fail", self.txn, {"sub": self.sub, "node": exception.index}
             )
         self.join.value = False
         self.join.succeed()

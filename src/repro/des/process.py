@@ -86,8 +86,10 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at its yield point.
 
         The interrupt is delivered as an urgent event at the current
-        instant.  Interrupting a finished process is an error; a process
-        cannot interrupt itself.
+        instant.  Interrupting a finished process is an error.  A
+        process may interrupt itself: the :class:`Interrupt` is thrown
+        at its next yield, at the same instant (if it returns without
+        yielding again, the :class:`Interrupt` escapes from the run).
         """
         if self.triggered:
             raise SimulationError("cannot interrupt a finished process")

@@ -10,24 +10,34 @@ express.
 
 Tracing is off by default (zero overhead beyond one ``None`` check per
 emit site).  :class:`Trace` is the in-memory *ring-buffer* backend of
-the :class:`~repro.obs.sinks.TraceSink` protocol; the JSONL file
-backend and the schema-versioned export/replay loader live in
+the :class:`~repro.obs.sinks.TraceSink` protocol, whose one method is
+``emit(time, kind, subject, details)``: *details* is one dict, built
+once by the emitter and passed positionally, which a sink only reads
+(a :class:`~repro.obs.sinks.MultiSink` hands every sink the same
+dict, and :class:`Trace` keeps it in the record as it is).  The JSONL
+file backend and the schema-versioned export/replay loader live in
 :mod:`repro.obs.sinks`.
 """
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from itertools import islice
+from types import MappingProxyType
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One traced event."""
+class TraceRecord(NamedTuple):
+    """One traced event.
+
+    A tuple, so a record carries no ``__dict__``, and one whose
+    *details* hold only atomic values drops out of the cyclic
+    collector.  The default *details* is a read-only empty mapping,
+    safe to share.
+    """
 
     time: float
     kind: str
     subject: int
-    details: dict = field(default_factory=dict)
+    details: dict = MappingProxyType({})
 
     def __str__(self):
         extras = " ".join(
@@ -70,8 +80,8 @@ class Trace:
         """Records discarded due to the retention limit."""
         return self._dropped
 
-    def emit(self, time, kind, subject, **details):
-        """Append one record."""
+    def emit(self, time, kind, subject, details):
+        """Append one record; *details* is kept as it is, not copied."""
         records = self._records
         if records.maxlen is not None and len(records) == records.maxlen:
             self._dropped += 1

@@ -29,7 +29,7 @@ class FaultInjector:
         Fallback seed when the plan carries none (normally the run's
         own seed, so one seed reproduces workload *and* faults).
     observer:
-        Optional callable ``observer(kind, **details)`` told of every
+        Optional callable ``observer(kind, details)`` told of every
         fault transition: ``proc_crash``, ``proc_recover``,
         ``disk_slow``, ``disk_recover``, ``lockmgr_stall``,
         ``lockmgr_resume``, ``partition``, ``heal``, ``link_delay``
@@ -84,7 +84,7 @@ class FaultInjector:
 
     def _emit(self, kind, **details):
         if self.observer is not None:
-            self.observer(kind, **details)
+            self.observer(kind, details)
 
     # -- fault processes -------------------------------------------------
 

@@ -2,8 +2,11 @@
 
 The simulation model emits lifecycle events through whatever object is
 passed as its ``trace`` — anything implementing the :class:`TraceSink`
-protocol (an ``emit(time, kind, subject, **details)`` method).  Two
-backends are provided:
+protocol (an ``emit(time, kind, subject, details)`` method, *details*
+one dict passed positionally).  A sink must only read *details*: the
+emitter builds it once, :class:`MultiSink` hands every sink the same
+dict, and the in-memory trace keeps it in its record.  Two backends
+are provided:
 
 * :class:`~repro.des.trace.Trace` — the in-memory ring buffer
   (re-exported here as :data:`RingBufferSink`), for tests and
@@ -54,8 +57,12 @@ class TraceSink:
     it).
     """
 
-    def emit(self, time, kind, subject, **details):
-        """Record one event."""
+    def emit(self, time, kind, subject, details):
+        """Record one event.
+
+        *details* is a dict of the event's fields, shared with the
+        emitter and with every other sink: read it, never mutate it.
+        """
         raise NotImplementedError
 
 
@@ -65,10 +72,10 @@ class MultiSink:
     def __init__(self, sinks):
         self.sinks = list(sinks)
 
-    def emit(self, time, kind, subject, **details):
-        """Forward the record to every sink."""
+    def emit(self, time, kind, subject, details):
+        """Forward the record, and the same *details* dict, to every sink."""
         for sink in self.sinks:
-            sink.emit(time, kind, subject, **details)
+            sink.emit(time, kind, subject, details)
 
 
 class JsonlTraceSink:
@@ -113,7 +120,7 @@ class JsonlTraceSink:
         self._handle.write(json.dumps(document, sort_keys=True))
         self._handle.write("\n")
 
-    def emit(self, time, kind, subject, **details):
+    def emit(self, time, kind, subject, details):
         """Append one event record line."""
         line = {"type": "record", "t": time, "kind": kind, "txn": subject}
         if details:
@@ -165,7 +172,7 @@ class TraceFile:
         """The records re-materialised as an in-memory :class:`Trace`."""
         trace = Trace()
         for record in self.records:
-            trace.emit(record.time, record.kind, record.subject, **record.details)
+            trace.emit(record.time, record.kind, record.subject, record.details)
         return trace
 
     @property

@@ -17,8 +17,9 @@ class Telemetry:
     Parameters
     ----------
     sink:
-        Optional trace sink (``emit(time, kind, subject, **details)``);
-        receives every lifecycle event.
+        Optional trace sink (``emit(time, kind, subject, details)``,
+        *details* one dict it must only read); receives every lifecycle
+        event.
     sample_interval:
         Simulated time between time-series samples; ``0`` disables
         sampling.

@@ -38,7 +38,7 @@ class FCFSAdmission:
         if mpl_limit < 0:
             raise ValueError("mpl_limit must be >= 0")
         self.mpl_limit = mpl_limit
-        #: Optional callable ``notify(kind, **details)`` for telemetry;
+        #: Optional callable ``notify(kind, details)`` for telemetry;
         #: policies report scheduling transitions through it (the
         #: adaptive policy emits ``"mpl_change"`` whenever feedback
         #: moves its multiprogramming limit).
@@ -152,9 +152,11 @@ class AdaptiveAdmission(FCFSAdmission):
         if self.mpl_limit != before and self.notify is not None:
             self.notify(
                 "mpl_change",
-                mpl=self.mpl_limit,
-                previous=before,
-                denial_rate=round(denial_rate, 4),
+                {
+                    "mpl": self.mpl_limit,
+                    "previous": before,
+                    "denial_rate": round(denial_rate, 4),
+                },
             )
         self._grants = 0
         self._denials = 0

@@ -172,7 +172,9 @@ class PreclaimCC(ConcurrencyControl):
             )
             blocker = model.conflicts.request(txn)
             if blocker is None:
-                model.metrics.emit("lock_grant", txn, attempt=txn.attempts)
+                probe = model.metrics
+                if probe.trace is not None:
+                    probe.emit("lock_grant", txn, {"attempt": txn.attempts})
                 model.admission.policy.on_grant()
                 return
             yield from self._denied(txn, blocker)
@@ -262,7 +264,9 @@ class _GranuleCC(ConcurrencyControl):
                     break
                 index += 1
             if not aborted:
-                model.metrics.emit("lock_grant", txn, attempt=txn.attempts)
+                probe = model.metrics
+                if probe.trace is not None:
+                    probe.emit("lock_grant", txn, {"attempt": txn.attempts})
                 model.conflicts.mark_active(txn)
                 model.admission.policy.on_grant()
                 return

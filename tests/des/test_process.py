@@ -167,6 +167,24 @@ class TestInterrupt:
         with pytest.raises(SimulationError):
             process.interrupt()
 
+    def test_self_interrupt_is_thrown_at_the_next_yield(self, env):
+        log = []
+
+        def victim(env):
+            yield env.timeout(2)
+            process.interrupt("self")
+            log.append(("running", env.now))
+            try:
+                yield env.timeout(5)
+            except Interrupt as interrupt:
+                log.append(("caught", interrupt.cause, env.now))
+            yield env.timeout(1)
+            log.append(("done", env.now))
+
+        process = env.process(victim(env))
+        env.run()
+        assert log == [("running", 2), ("caught", "self", 2), ("done", 3)]
+
     def test_interrupt_detaches_from_old_target(self, env):
         # After an interrupt, the original timeout must not resume the
         # process a second time.

@@ -8,15 +8,15 @@ from repro.des.trace import Trace, TraceRecord
 class TestTrace:
     def test_emit_and_len(self):
         trace = Trace()
-        trace.emit(1.0, "arrive", 1)
-        trace.emit(2.0, "complete", 1, response=1.0)
+        trace.emit(1.0, "arrive", 1, {})
+        trace.emit(2.0, "complete", 1, {"response": 1.0})
         assert len(trace) == 2
 
     def test_records_filtering(self):
         trace = Trace()
-        trace.emit(1.0, "arrive", 1)
-        trace.emit(1.5, "arrive", 2)
-        trace.emit(2.0, "complete", 1)
+        trace.emit(1.0, "arrive", 1, {})
+        trace.emit(1.5, "arrive", 2, {})
+        trace.emit(2.0, "complete", 1, {})
         assert len(trace.records(kind="arrive")) == 2
         assert len(trace.records(subject=1)) == 2
         assert len(trace.records(kind="arrive", subject=2)) == 1
@@ -24,24 +24,31 @@ class TestTrace:
     def test_counts(self):
         trace = Trace()
         for _ in range(3):
-            trace.emit(0.0, "a", 1)
-        trace.emit(0.0, "b", 1)
+            trace.emit(0.0, "a", 1, {})
+        trace.emit(0.0, "b", 1, {})
         assert trace.counts() == {"a": 3, "b": 1}
 
     def test_timeline(self):
         trace = Trace()
-        trace.emit(1.0, "arrive", 7)
-        trace.emit(2.0, "admit", 7)
-        trace.emit(2.0, "arrive", 8)
+        trace.emit(1.0, "arrive", 7, {})
+        trace.emit(2.0, "admit", 7, {})
+        trace.emit(2.0, "arrive", 8, {})
         assert trace.timeline(7) == [("arrive", 1.0), ("admit", 2.0)]
 
     def test_limit_drops_oldest(self):
         trace = Trace(limit=2)
         for i in range(5):
-            trace.emit(float(i), "tick", i)
+            trace.emit(float(i), "tick", i, {})
         assert len(trace) == 2
         assert trace.dropped == 3
         assert [r.subject for r in trace] == [3, 4]
+
+    def test_default_details_are_empty_and_read_only(self):
+        record = TraceRecord(0.0, "x", 1)
+        assert dict(record.details) == {}
+        with pytest.raises(TypeError):
+            record.details["leak"] = 1
+        assert TraceRecord(1.0, "y", 2).details == {}
 
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):
@@ -49,7 +56,7 @@ class TestTrace:
 
     def test_format_and_str(self):
         trace = Trace()
-        trace.emit(1.25, "lock_deny", 3, blocker=9)
+        trace.emit(1.25, "lock_deny", 3, {"blocker": 9})
         text = trace.format()
         assert "lock_deny" in text
         assert "txn#3" in text
@@ -59,7 +66,7 @@ class TestTrace:
     def test_format_limit(self):
         trace = Trace()
         for i in range(10):
-            trace.emit(float(i), "tick", i)
+            trace.emit(float(i), "tick", i, {})
         assert len(trace.format(limit=3).splitlines()) == 3
 
 

@@ -24,17 +24,29 @@ class TestMultiSink:
     def test_fans_out_to_every_sink(self):
         a, b = Trace(), Trace()
         multi = MultiSink([a, b])
-        multi.emit(1.0, "arrive", 7, nu=3)
+        multi.emit(1.0, "arrive", 7, {"nu": 3})
         assert len(a) == 1 and len(b) == 1
         assert a.records()[0].details == {"nu": 3}
+
+    def test_trace_and_jsonl_record_the_same_run(self, tmp_path, fast_params):
+        from repro.core.model import LockingGranularityModel
+
+        path = tmp_path / "t.jsonl"
+        trace = Trace()
+        with JsonlTraceSink(path) as sink:
+            LockingGranularityModel(
+                fast_params, trace=MultiSink([trace, sink])
+            ).run()
+        assert len(trace) > 0
+        assert list(trace) == load_trace(path).records
 
 
 class TestJsonlRoundTrip:
     def test_records_survive_round_trip(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with JsonlTraceSink(path, params={"seed": 1}, model_version=2) as sink:
-            sink.emit(0.0, "arrive", 1, nu=5)
-            sink.emit(1.5, "complete", 1, response=1.5)
+            sink.emit(0.0, "arrive", 1, {"nu": 5})
+            sink.emit(1.5, "complete", 1, {"response": 1.5})
             sink.emit_sample(5.0, {"blocked": 2})
         loaded = load_trace(path)
         assert loaded.header["schema"] == TRACE_SCHEMA
@@ -51,8 +63,8 @@ class TestJsonlRoundTrip:
     def test_to_trace_rematerialises_records(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with JsonlTraceSink(path) as sink:
-            sink.emit(0.0, "arrive", 1)
-            sink.emit(2.0, "complete", 1)
+            sink.emit(0.0, "arrive", 1, {})
+            sink.emit(2.0, "complete", 1, {})
         trace = load_trace(path).to_trace()
         assert trace.timeline(1) == [("arrive", 0.0), ("complete", 2.0)]
 
@@ -72,7 +84,7 @@ class TestJsonlRoundTrip:
     def test_truncated_file_loads_without_footer(self, tmp_path):
         path = tmp_path / "t.jsonl"
         sink = JsonlTraceSink(path)
-        sink.emit(1.0, "arrive", 1)
+        sink.emit(1.0, "arrive", 1, {})
         sink._handle.flush()  # simulate a crash: no close, no footer
         loaded = load_trace(path)
         assert loaded.footer is None
