@@ -161,8 +161,8 @@ def _add_parameter_flags(parser, skip=()):
     """Add one ``--<name>`` option per simulation parameter.
 
     Every subcommand that accepts a full configuration (simulate,
-    trace, predict, faults, tune, sensitivity) shares this generator,
-    so new parameters and policy aliases appear everywhere at once.
+    trace, predict, faults) shares this generator, so new parameters
+    and policy aliases appear everywhere at once.
     """
     defaults = SimulationParameters().as_dict()
     defaults.setdefault("txn_classes", "")
@@ -403,24 +403,6 @@ def build_parser():
         "--trace", type=int, default=0, metavar="N",
         help="print the first N transaction lifecycle events",
     )
-
-    tune = verb(
-        "tune", _command_tune,
-        "adaptively search for the optimal lock granularity",
-    )
-    tune.add_argument("--objective", default="throughput")
-    tune.add_argument("--minimize", action="store_true")
-    _add_shared(tune, replications=dict(default=2), tmax=dict(default=400.0))
-    _add_parameter_flags(tune, skip=("ltot", "tmax"))
-
-    sensitivity = verb(
-        "sensitivity", _command_sensitivity,
-        "elasticity of an output w.r.t. each numeric parameter",
-    )
-    sensitivity.add_argument("--output", default="throughput")
-    sensitivity.add_argument("--delta", type=float, default=0.25)
-    _add_shared(sensitivity, replications=dict(default=2), tmax=dict(default=300.0))
-    _add_parameter_flags(sensitivity, skip=("tmax",))
 
     trace = verb(
         "trace", _command_trace,
@@ -722,7 +704,7 @@ def _command_run(args):
             print(ascii_plot(result, y_field))
     if spec.expected_shape:
         print()
-        print("Paper's expected shape: {}".format(spec.expected_shape))
+        print("Expected shape: {}".format(spec.expected_shape))
     if args.save:
         save_rows_csv(result.rows(), args.save)
         print("Rows written to {}".format(args.save))
@@ -1043,48 +1025,6 @@ def _command_simulate(args):
         for key, value in entry.items():
             if key != "txn_class":
                 print("  {:24s} {}".format(key, value))
-    return 0
-
-
-def _command_tune(args):
-    from repro.experiments.search import find_optimal_ltot
-
-    params = SimulationParameters(**_overrides(args))
-    outcome = find_optimal_ltot(
-        params,
-        objective=args.objective,
-        maximize=not args.minimize,
-        replications=args.replications,
-    )
-    print("Evaluated {} granularities:".format(len(outcome.evaluations)))
-    for ltot in sorted(outcome.evaluations):
-        marker = "  <-- best" if ltot == outcome.best_ltot else ""
-        print("  ltot={:>6d}  {}={:.6g}{}".format(
-            ltot, args.objective, outcome.evaluations[ltot], marker))
-    print("Optimal granularity: ltot = {} ({} = {:.6g})".format(
-        outcome.best_ltot, args.objective, outcome.best_value))
-    return 0
-
-
-def _command_sensitivity(args):
-    from repro.experiments.sensitivity import (
-        analyze_sensitivity,
-        format_sensitivities,
-    )
-
-    params = SimulationParameters(**_overrides(args))
-    results = analyze_sensitivity(
-        params,
-        output=args.output,
-        delta=args.delta,
-        replications=args.replications,
-    )
-    print(
-        "Elasticity of {} to ±{:.0%} parameter changes:".format(
-            args.output, args.delta
-        )
-    )
-    print(format_sensitivities(results))
     return 0
 
 

@@ -32,7 +32,7 @@ Example
 """
 
 from repro.des.engine import Environment
-from repro.des.errors import Interrupt, SimulationError, StopSimulation
+from repro.des.errors import SimulationError, StopSimulation
 from repro.des.events import AnyOf, Event, Join, Timeout
 from repro.des.monitor import Tally, TimeWeighted
 from repro.des.process import Process
@@ -44,7 +44,6 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Join",
     "Process",
     "RandomStreams",

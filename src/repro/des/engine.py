@@ -102,18 +102,15 @@ class Environment:
         """Schedule *proc* to resume after *delay* with no event object.
 
         This is the bare-delay sleep path (``yield 1.5`` inside a
-        process): the :class:`Process` itself goes on the queue, tagged
-        by ``_tick_eid`` so an interrupt delivered before the tick
-        fires leaves a stale entry the dispatcher can recognise and
-        drop.  The entry consumes one event id, exactly like the
-        equivalent ``env.timeout(delay)`` would.
+        process): the :class:`Process` itself goes on the queue, with
+        ``_target`` set to the tick sentinel until the entry fires.
+        The entry consumes one event id, exactly like the equivalent
+        ``env.timeout(delay)`` would.
         """
         if delay < 0:
             raise ValueError("negative delay {}".format(delay))
-        eid = next(self._eid)
         proc._target = _TICK
-        proc._tick_eid = eid
-        heappush(self._heap, (self._now + delay, NORMAL, eid, proc))
+        heappush(self._heap, (self._now + delay, NORMAL, next(self._eid), proc))
 
     def peek(self):
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -130,7 +127,7 @@ class Environment:
             If no events remain.
         """
         try:
-            when, _, eid, event = heappop(self._heap)
+            when, _, _, event = heappop(self._heap)
         except IndexError:
             raise EmptySchedule("no scheduled events") from None
         self._now = when
@@ -139,24 +136,22 @@ class Environment:
         if cls is FunctionType or cls is MethodType:
             event()  # a bare callback, not an Event
         else:
-            self._process(event, cls, eid)
+            self._process(event, cls)
 
-    def _process(self, event, cls, eid):
+    def _process(self, event, cls):
         """Process one popped entry that is not a bare callback.
 
         The single copy of the dispatch order for ticks and events,
         shared by :meth:`step` and the hot loop of :meth:`_dispatch`.
-        A live tick resumes its sleeping process with no event object;
+        A tick resumes its sleeping process with no event object;
         any other entry is an :class:`Event`, whose callbacks run in the
         order they were added.
         """
-        if cls is Process and eid <= event._tick_eid:
-            # A tick entry: a process's own completion entry is pushed
-            # after its last tick, so it carries a larger eid.  Only the
-            # latest tick of a still-sleeping process is live; the rest
-            # are stale (an interrupt already resumed the process).
-            if eid == event._tick_eid and event._target is _TICK:
-                event._resume()
+        if cls is Process and event._target is _TICK:
+            # A tick: nothing but the tick itself resumes a sleeping
+            # process, and a finished process's completion entry finds
+            # ``_target`` cleared.
+            event._resume()
             return
         callbacks = event.callbacks
         event.callbacks = None
@@ -180,14 +175,14 @@ class Environment:
         dispatched = 0
         try:
             while heap and heap[0][0] <= stop_at:
-                when, _, eid, event = heappop(heap)
+                when, _, _, event = heappop(heap)
                 self._now = when
                 dispatched += 1
                 cls = event.__class__
                 if cls is FunctionType or cls is MethodType:
                     event()  # a bare callback, not an Event
                 else:
-                    process(event, cls, eid)
+                    process(event, cls)
                 if deadline is not None and not dispatched & 1023:
                     # The wall-clock guard is checked once every 1024
                     # events so the budget costs one masked compare

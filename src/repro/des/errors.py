@@ -45,19 +45,3 @@ class SimulationStalled(SimulationError):
         super().__init__(message)
         self.stats = stats
 
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The interrupted process receives the interrupt at its current yield
-    point and may inspect :attr:`cause` to decide how to react (for
-    instance, a transaction aborted by deadlock resolution).
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-
-    @property
-    def cause(self):
-        """The value passed to :meth:`Process.interrupt`."""
-        return self.args[0]

@@ -23,8 +23,8 @@ PENDING = object()
 
 #: Default scheduling priority.  Events scheduled at the same time are
 #: processed in (priority, insertion order).  Urgent entries (a
-#: process's start, an interrupt) use :data:`URGENT` so they run before
-#: ordinary events at the same instant.
+#: process's start) use :data:`URGENT` so they run before ordinary
+#: events at the same instant.
 NORMAL = 1
 URGENT = 0
 

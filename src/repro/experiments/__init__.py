@@ -25,12 +25,6 @@ from repro.experiments.runner import (
     run_experiment,
     run_experiments,
 )
-from repro.experiments.search import SearchOutcome, find_optimal_ltot
-from repro.experiments.sensitivity import (
-    Sensitivity,
-    analyze_sensitivity,
-    format_sensitivities,
-)
 from repro.experiments.storage import load_rows_csv, save_rows_csv, save_rows_json
 from repro.experiments.svg import SvgChart, chart_from_result, save_result_charts
 
@@ -42,13 +36,8 @@ __all__ = [
     "cross_validate_engines",
     "LTOT_GRID",
     "NPROS_GRID",
-    "SearchOutcome",
-    "Sensitivity",
     "SvgChart",
-    "analyze_sensitivity",
     "ascii_plot",
-    "find_optimal_ltot",
-    "format_sensitivities",
     "chart_from_result",
     "format_series_table",
     "get_exhibit",

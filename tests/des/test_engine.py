@@ -8,7 +8,7 @@ import pytest
 from repro import LockingGranularityModel
 from repro.des import Environment, Server
 from repro.des import engine
-from repro.des.errors import EmptySchedule, Interrupt, SimulationError
+from repro.des.errors import EmptySchedule, SimulationError
 from tests.core.test_subtransactions import PINS
 
 
@@ -155,7 +155,8 @@ class TestKernelStats:
 class TestStepMatchesRun:
     def test_step_and_run_dispatch_identically(self):
         """Repeated step() and one run() share the dispatch order, and
-        both count every entry they pop, stale ticks included."""
+        both count every entry they pop, stale server completions
+        included."""
 
         def workload(env):
             log = []
@@ -165,13 +166,10 @@ class TestStepMatchesRun:
                 return lambda event: log.append((label, env.now, event.ok))
 
             def sleeper():
-                try:
-                    while True:
-                        yield 1.5  # bare-delay tick
-                        log.append(("tick", env.now))
-                except Interrupt as interrupt:
-                    log.append(("interrupted", env.now, interrupt.cause))
-                yield 0.25
+                for _ in range(2):
+                    yield 1.5  # bare-delay tick
+                    log.append(("tick", env.now))
+                yield 0.25  # the last yield is a tick too
                 log.append(("slept", env.now))
 
             def timed():
@@ -191,12 +189,10 @@ class TestStepMatchesRun:
                         note("job{}".format(priority))
                     )
 
-            victim = env.process(sleeper())
+            env.process(sleeper())
             env.process(timed())
             server.submit(10.0, priority=9).callbacks.append(note("long"))
             env.schedule_callback(burst, 1.0)
-            # The sleeper's tick due at 3.0 goes stale.
-            env.schedule_callback(lambda: victim.interrupt("stop"), 2.0)
             env.schedule_callback(lambda: log.append(("callback", env.now)), 2.5)
             return log
 
@@ -212,7 +208,7 @@ class TestStepMatchesRun:
         ran.run()
 
         assert stepped_log == ran_log
-        assert ("interrupted", 2.0, "stop") in ran_log
+        assert ("slept", 3.25) in ran_log
         assert ("failed", 3.0, False) in ran_log
         assert stepped.now == ran.now
         assert stepped.events_dispatched == steps

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.des import Environment, Process
-from repro.des.errors import Interrupt, SimulationError
+from repro.des.errors import SimulationError
 
 
 class TestBasics:
@@ -72,25 +72,41 @@ class TestBasics:
             env.run()
 
     def test_exception_in_process_propagates(self):
-        # After a Timeout, after a bare-delay tick, and an Interrupt the
-        # process lets escape after a tick: each leaves run() and ends
-        # the process's life.
-        cases = [
-            (lambda env: env.timeout(1), ValueError("inside")),
-            (lambda env: 1, ValueError("inside")),
-            (lambda env: 1, Interrupt("escaped")),
-        ]
-        for wait, error in cases:
+        # After a Timeout and after a bare-delay tick: each leaves run()
+        # and ends the process's life.
+        for wait in (lambda env: env.timeout(1), lambda env: 1):
             env = Environment()
 
             def proc(env):
                 yield wait(env)
-                raise error
+                raise ValueError("inside")
 
             env.process(proc(env))
-            with pytest.raises(type(error), match=str(error)):
+            with pytest.raises(ValueError, match="inside"):
                 env.run()
             assert env.live_process_count == 0
+
+    def test_bare_delay_as_last_yield_completes_once(self, env):
+        """A process whose last yield is a tick finishes once: its
+        completion entry is an Event entry, not a second tick."""
+
+        def sleeper(env):
+            yield 2.0
+            return "slept"
+
+        process = env.process(sleeper(env))
+        joined = []
+
+        def joiner(env):
+            joined.append(((yield process), env.now))
+
+        env.process(joiner(env))
+        # A completion resumed as a tick would loop at t=2 forever.
+        env.run(timeout=10.0)
+        assert joined == [("slept", 2.0)]
+        assert env.live_process_count == 0
+        # Two starts, the tick, and one completion per process.
+        assert env.events_dispatched == 5
 
     def test_waiting_on_already_processed_event(self):
         # The second input yields the processed event right after a
@@ -121,125 +137,6 @@ class TestBasics:
         process = env.process(proc(env))
         trigger.fail(RuntimeError("bad"))
         assert env.run(until=process) == "caught: bad"
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, env):
-        def victim(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt as interrupt:
-                return ("interrupted", interrupt.cause, env.now)
-
-        process = env.process(victim(env))
-
-        def killer(env):
-            yield env.timeout(5)
-            process.interrupt(cause="deadlock")
-
-        env.process(killer(env))
-        assert env.run(until=process) == ("interrupted", "deadlock", 5)
-
-    def test_interrupted_process_can_continue(self, env):
-        def victim(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                pass
-            yield env.timeout(1)
-            return env.now
-
-        process = env.process(victim(env))
-
-        def killer(env):
-            yield env.timeout(2)
-            process.interrupt()
-
-        env.process(killer(env))
-        assert env.run(until=process) == 3
-
-    def test_interrupt_finished_process_raises(self, env):
-        def quick(env):
-            yield env.timeout(0)
-
-        process = env.process(quick(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
-
-    def test_self_interrupt_is_thrown_at_the_next_yield(self, env):
-        log = []
-
-        def victim(env):
-            yield env.timeout(2)
-            process.interrupt("self")
-            log.append(("running", env.now))
-            try:
-                yield env.timeout(5)
-            except Interrupt as interrupt:
-                log.append(("caught", interrupt.cause, env.now))
-            yield env.timeout(1)
-            log.append(("done", env.now))
-
-        process = env.process(victim(env))
-        env.run()
-        assert log == [("running", 2), ("caught", "self", 2), ("done", 3)]
-
-    def test_interrupt_detaches_from_old_target(self, env):
-        # After an interrupt, the original timeout must not resume the
-        # process a second time.
-        resumed = []
-
-        def victim(env):
-            try:
-                yield env.timeout(10)
-                resumed.append("timeout")
-            except Interrupt:
-                resumed.append("interrupt")
-            yield env.timeout(20)
-            resumed.append("second-wait")
-
-        process = env.process(victim(env))
-
-        def killer(env):
-            yield env.timeout(1)
-            process.interrupt()
-
-        env.process(killer(env))
-        env.run()
-        assert resumed == ["interrupt", "second-wait"]
-
-    @pytest.mark.parametrize("then", ["return", "wait", "sleep"])
-    def test_stale_tick_after_the_process_moved_on(self, env, then):
-        """A bare-delay sleep cut short by an interrupt leaves its tick
-        on the heap.  When that tick comes due after the process has
-        finished, while it waits on an event, or while it sleeps on a
-        newer tick, it is dropped: the process neither resumes nor
-        completes a second time."""
-
-        def victim(env):
-            try:
-                yield 10.0
-            except Interrupt:
-                pass
-            if then == "wait":
-                yield env.timeout(20.0)
-            elif then == "sleep":
-                yield 20.0
-            return env.now
-
-        process = env.process(victim(env))
-        env.schedule_callback(process.interrupt, 1.0)
-
-        def joiner(env):
-            value = yield process
-            return (value, env.now)
-
-        joined = env.process(joiner(env))
-        expected = 1.0 if then == "return" else 21.0
-        assert env.run(until=joined) == (expected, expected)
-        env.run()
-        assert env.now == (10.0 if then == "return" else 21.0)
 
 
 class TestForkJoin:

@@ -209,18 +209,6 @@ class TestExecution:
         assert "arrive" in out
         assert "events total" in out
 
-    def test_tune_reports_optimum(self, capsys):
-        code = main(
-            [
-                "tune", "--dbsize", "300", "--ntrans", "3",
-                "--maxtransize", "30", "--npros", "2", "--tmax", "60",
-                "--replications", "1",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Optimal granularity" in out
-
     def test_compare_flags_changes(self, capsys, tmp_path):
         from repro.experiments.storage import save_rows_csv
 
@@ -241,19 +229,6 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "improved" in out
         assert "1 of 2" in out
-
-    def test_sensitivity_reports_elasticities(self, capsys):
-        code = main(
-            [
-                "sensitivity", "--dbsize", "300", "--ntrans", "3",
-                "--maxtransize", "30", "--npros", "2", "--tmax", "60",
-                "--replications", "1",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Elasticity" in out
-        assert "iotime" in out
 
     def test_compare_disjoint_files_fail(self, capsys, tmp_path):
         from repro.experiments.storage import save_rows_csv

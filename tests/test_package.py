@@ -50,8 +50,6 @@ MODULES = [
     "repro.experiments.journal",
     "repro.experiments.report",
     "repro.experiments.runner",
-    "repro.experiments.search",
-    "repro.experiments.sensitivity",
     "repro.experiments.storage",
     "repro.experiments.svg",
     "repro.faults",
@@ -101,6 +99,13 @@ def test_module_list_is_complete():
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
         found.add(info.name)
     assert found == set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exported_names_exist(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, "{}.__all__ names missing objects: {}".format(name, missing)
 
 
 def iter_public_callables(module):
