@@ -15,7 +15,7 @@ Usage::
 import argparse
 
 from repro import SimulationParameters, simulate, simulate_replications
-from repro.analytic import optimal_ltot_estimate
+from repro.analytic.granularity import optimal_ltot_estimate
 
 
 def describe(params):

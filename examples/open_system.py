@@ -12,7 +12,7 @@ Usage::
 """
 
 from repro import SimulationParameters, simulate
-from repro.analytic import throughput_upper_bound
+from repro.analytic.queueing import throughput_upper_bound
 
 ARRIVAL_RATES = (0.05, 0.10, 0.14, 0.17, 0.19, 0.22)
 

@@ -18,49 +18,7 @@
     probability and lock overhead per configuration in microseconds —
     the model behind ``repro-locking predict``/``crossval`` and the
     ``--accelerator analytic`` sweep pruner.
+
+Nothing is imported here, so placement's use of Yao's formula never
+loads the MVA solver; import from the submodules.
 """
-
-from repro.analytic.mva import (
-    AnalyticPrediction,
-    cc_semantics,
-    predict,
-    predict_grid,
-    schweitzer_response_times,
-    uncertainty_score,
-)
-from repro.analytic.granularity import (
-    conflict_probability,
-    expected_lock_overhead,
-    optimal_ltot_estimate,
-    serial_throughput_bound,
-)
-from repro.analytic.queueing import (
-    balanced_system_throughput,
-    bottleneck_demand,
-    response_time_lower_bound,
-    service_demands,
-    throughput_upper_bound,
-    total_demand,
-)
-from repro.analytic.yao import expected_granules_touched, yao_locks
-
-__all__ = [
-    "AnalyticPrediction",
-    "balanced_system_throughput",
-    "bottleneck_demand",
-    "cc_semantics",
-    "conflict_probability",
-    "expected_granules_touched",
-    "expected_lock_overhead",
-    "optimal_ltot_estimate",
-    "predict",
-    "predict_grid",
-    "response_time_lower_bound",
-    "schweitzer_response_times",
-    "serial_throughput_bound",
-    "service_demands",
-    "throughput_upper_bound",
-    "total_demand",
-    "uncertainty_score",
-    "yao_locks",
-]

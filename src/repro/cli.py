@@ -1030,7 +1030,9 @@ def _command_simulate(args):
 
 def _command_trace(args):
     from repro.core.model import MODEL_VERSION, LockingGranularityModel
-    from repro.obs import JsonlTraceSink, Telemetry, build_manifest, write_manifest
+    from repro.obs.manifest import build_manifest, write_manifest
+    from repro.obs.sinks import JsonlTraceSink, load_trace
+    from repro.obs.telemetry import Telemetry
 
     params = SimulationParameters(**_overrides(args))
     sink = JsonlTraceSink(
@@ -1054,8 +1056,6 @@ def _command_trace(args):
         build_manifest(params, cache_hit=False, wall_seconds=wall),
     )
     if args.print_events:
-        from repro.obs import load_trace
-
         print(load_trace(args.out).to_trace().format(limit=args.print_events))
     print(
         "Telemetry written to {} ({} events, {} samples) "
@@ -1072,7 +1072,8 @@ def _command_trace(args):
 
 
 def _command_report(args):
-    from repro.obs import format_report, load_trace, report_json, save_report_chart
+    from repro.obs.report import format_report, report_json, save_report_chart
+    from repro.obs.sinks import load_trace
 
     tracefile = load_trace(args.telemetry)
     if args.json is not None:

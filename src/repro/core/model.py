@@ -162,8 +162,8 @@ class LockingGranularityModel:
         instruments = None
         manager = getattr(self.conflicts, "manager", None)
         if metrics_registry is not None:
-            # Imported directly (not via repro.obs, whose __init__
-            # pulls the SVG/report stack) and only when instrumented.
+            # Imported only when instrumented: a bare run never loads
+            # the metrics module.
             from repro.obs.metrics import RunInstruments
 
             instruments = RunInstruments(metrics_registry, params)

@@ -80,16 +80,10 @@ class Process(Event):
                     event.defuse()
                     next_event = self._generator.throw(event.value)
             except StopIteration as stop:
-                self._ok = True
-                self._value = stop.value
-                self.env._live_procs -= 1
-                self.env.schedule(self, delay=0)
+                self._end(True, stop.value)
                 return
             except BaseException as error:
-                self._ok = False
-                self._value = error
-                self.env._live_procs -= 1
-                self.env.schedule(self, delay=0)
+                self._end(False, error)
                 return
             cls = next_event.__class__
             if cls is float or cls is int:
@@ -102,9 +96,10 @@ class Process(Event):
                 self.env.schedule_tick(self, next_event)
                 return
             if not isinstance(next_event, Event):
-                raise SimulationError(
-                    "process yielded a non-event: {!r}".format(next_event)
-                )
+                # Fail the process, as if the generator had raised.
+                error = "process yielded a non-event: {!r}".format(next_event)
+                self._end(False, SimulationError(error))
+                return
             if next_event.processed:
                 # Already done: loop and feed its value immediately.
                 event = next_event
@@ -112,3 +107,10 @@ class Process(Event):
             next_event.callbacks.append(self._resume_cb)
             self._target = next_event
             return
+
+    def _end(self, ok, value):
+        """Finish the process: trigger it with *value* (an error if not *ok*)."""
+        self._ok = ok
+        self._value = value
+        self.env._live_procs -= 1
+        self.env.schedule(self, delay=0)

@@ -25,14 +25,11 @@ must never be able to fail a sweep.
 
 import hashlib
 import json
-import logging
 import os
 import tempfile
 
 from repro.core.model import MODEL_VERSION
 from repro.core.results import RESULT_FIELDS, SimulationResult
-
-logger = logging.getLogger(__name__)
 
 #: On-disk layout version; bump when the entry format itself changes.
 CACHE_SCHEMA = 1
@@ -236,7 +233,9 @@ class ResultCache:
         """Move a corrupt entry aside as ``<entry>.corrupt``."""
         try:
             os.replace(path, path + ".corrupt")
-            logger.warning(
+            import logging
+
+            logging.getLogger(__name__).warning(
                 "quarantined corrupt cache entry %s (%s); will recompute",
                 path,
                 reason,

@@ -42,7 +42,6 @@ through :class:`SweepStats`, available as ``result.stats`` on the
 returned :class:`ExperimentResult`.
 """
 
-import concurrent.futures
 import os
 import signal
 from dataclasses import dataclass, field
@@ -955,6 +954,8 @@ class _Rounds:
 
     def _pool_round(self, queue):
         """Run the jobs on one fresh process pool."""
+        import concurrent.futures
+
         retry = []
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=min(self.workers, len(queue))

@@ -20,11 +20,15 @@ into an explainable artifact:
   exporters and the ``--metrics-port`` HTTP endpoint;
 * :mod:`repro.obs.top` — the ``repro-locking top`` live sweep monitor.
 
+Nothing is imported here, so tracing loads neither the HTTP exporter
+nor the report stack; import from the submodules.
+
 Quick tour::
 
     from repro.core.model import LockingGranularityModel
     from repro.core.parameters import SimulationParameters
-    from repro.obs import JsonlTraceSink, Telemetry, load_trace
+    from repro.obs.sinks import JsonlTraceSink, load_trace
+    from repro.obs.telemetry import Telemetry
 
     telemetry = Telemetry(
         sink=JsonlTraceSink("run.jsonl"), sample_interval=5.0
@@ -36,87 +40,3 @@ Quick tour::
     replay = load_trace("run.jsonl")
     assert len(replay.records) > 0
 """
-
-from repro.obs.exporters import (
-    MetricsServer,
-    SnapshotWriter,
-    json_snapshot,
-    parse_prometheus_text,
-    prometheus_text,
-    read_snapshot,
-)
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA,
-    build_manifest,
-    git_sha,
-    load_manifest,
-    write_manifest,
-)
-from repro.obs.metrics import (
-    MetricsRegistry,
-    RunInstruments,
-    SweepInstruments,
-    summarize_snapshot,
-)
-from repro.obs.report import (
-    contention_diagnosis,
-    format_diagnosis,
-    format_report,
-    format_timeline,
-    report_json,
-    save_report_chart,
-    summarize_trace,
-    timeline_chart,
-)
-from repro.obs.sinks import (
-    TRACE_SCHEMA,
-    JsonlTraceSink,
-    MultiSink,
-    RingBufferSink,
-    TraceFile,
-    TraceSchemaError,
-    TraceSink,
-    load_trace,
-)
-from repro.obs.telemetry import Telemetry
-from repro.obs.timeseries import TimeSeriesRecorder
-from repro.obs.top import TopMonitor, read_journal, render_frame, run_top
-
-__all__ = [
-    "MANIFEST_SCHEMA",
-    "TRACE_SCHEMA",
-    "JsonlTraceSink",
-    "MetricsRegistry",
-    "MetricsServer",
-    "MultiSink",
-    "RingBufferSink",
-    "RunInstruments",
-    "SnapshotWriter",
-    "SweepInstruments",
-    "Telemetry",
-    "TimeSeriesRecorder",
-    "TopMonitor",
-    "TraceFile",
-    "TraceSchemaError",
-    "TraceSink",
-    "build_manifest",
-    "contention_diagnosis",
-    "format_diagnosis",
-    "format_report",
-    "format_timeline",
-    "git_sha",
-    "json_snapshot",
-    "load_manifest",
-    "load_trace",
-    "parse_prometheus_text",
-    "prometheus_text",
-    "read_journal",
-    "read_snapshot",
-    "render_frame",
-    "report_json",
-    "run_top",
-    "summarize_snapshot",
-    "summarize_trace",
-    "timeline_chart",
-    "write_manifest",
-]

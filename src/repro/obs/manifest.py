@@ -16,7 +16,6 @@ contract).
 import json
 import os
 import platform
-import subprocess
 import sys
 import time
 
@@ -38,6 +37,8 @@ def git_sha():
     """The working tree's HEAD commit, or ``None`` when unavailable."""
     global _GIT_SHA
     if _GIT_SHA is False:
+        import subprocess
+
         try:
             _GIT_SHA = subprocess.run(
                 ["git", "rev-parse", "HEAD"],

@@ -70,6 +70,36 @@ class TestBasics:
         env.process(proc(env))
         with pytest.raises(SimulationError):
             env.run()
+        assert env.live_process_count == 0
+
+    def test_yielding_non_event_fails_the_process(self):
+        # A joiner receives the error, so the run settles instead of
+        # waiting forever on a process that never ends.  The second
+        # input yields the bad value after a bare-delay tick.
+        for lead in (None, 1.0):
+            env = Environment()
+
+            def bad(env):
+                if lead is not None:
+                    yield lead
+                yield "not-an-event"
+
+            process = env.process(bad(env))
+            caught = []
+
+            def joiner(env):
+                try:
+                    yield process
+                except SimulationError as error:
+                    caught.append((str(error), env.now))
+
+            env.process(joiner(env))
+            env.run(timeout=10.0)
+            assert caught == [
+                ("process yielded a non-event: 'not-an-event'", lead or 0)
+            ]
+            assert not process.is_alive
+            assert env.live_process_count == 0
 
     def test_exception_in_process_propagates(self):
         # After a Timeout and after a bare-delay tick: each leaves run()

@@ -240,7 +240,8 @@ class TestExecution:
         assert main(["compare", str(a), str(b)]) == 1
 
     def test_trace_then_report_round_trip(self, capsys, tmp_path):
-        from repro.obs import load_manifest, load_trace
+        from repro.obs.manifest import load_manifest
+        from repro.obs.sinks import load_trace
 
         out = tmp_path / "telemetry.jsonl"
         assert main([
@@ -327,7 +328,7 @@ class TestExecution:
         assert "0 simulated" in out
 
     def test_report_rejects_garbage_file(self, tmp_path):
-        from repro.obs import TraceSchemaError
+        from repro.obs.sinks import TraceSchemaError
 
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")

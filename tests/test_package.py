@@ -3,10 +3,14 @@
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+
+DESIGN = Path(__file__).resolve().parents[1] / "DESIGN.md"
 
 MODULES = [
     "repro",
@@ -99,6 +103,38 @@ def test_module_list_is_complete():
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
         found.add(info.name)
     assert found == set(MODULES)
+
+
+def layout_modules():
+    """The dotted module names DESIGN.md §2's ``src/repro/`` tree lists."""
+    text = DESIGN.read_text(encoding="utf-8")
+    section = text.split("## 2. Repository layout", 1)[1].split("\n## ", 1)[0]
+    tree = section.split("```", 2)[1]
+    names, package = set(), None
+    for line in tree.splitlines():
+        match = re.match(r"( *)(\S+)", line)
+        if match is None:
+            continue
+        indent, entry = len(match.group(1)), match.group(2)
+        if indent == 0:
+            package = "repro" if entry == "src/repro/" else None
+            if package:
+                names.add(package)
+        elif package and indent == 2 and entry.endswith("/"):
+            package = "repro." + entry[:-1]
+            names.add(package)
+        elif package and indent == 2 and entry.endswith(".py"):
+            names.add("repro." + entry[:-3])
+        elif package and indent == 4 and entry.endswith(".py"):
+            names.add(package + "." + entry[:-3])
+    return names
+
+
+def test_design_layout_lists_every_module():
+    """DESIGN.md §2 names each module under repro/, and no other."""
+    listed = layout_modules()
+    assert sorted(set(MODULES) - listed) == []
+    assert sorted(listed - set(MODULES)) == []
 
 
 @pytest.mark.parametrize("name", MODULES)
