@@ -41,10 +41,18 @@ class BestPlacement:
         return math.ceil(nu * self.ltot / self.dbsize)
 
     def granules(self, nu, rng):
-        """A contiguous run of ``lock_count(nu)`` granules (wraps)."""
+        """A contiguous run of ``lock_count(nu)`` granules (wraps).
+
+        ``nu <= dbsize`` keeps the count at most ``ltot``, so the run
+        wraps at most once: it is one or two ``range``s.
+        """
+        ltot = self.ltot
         count = self.lock_count(nu)
-        start = rng.randrange(self.ltot)
-        return [(start + i) % self.ltot for i in range(count)]
+        start = rng.randrange(ltot)
+        wrapped = start + count - ltot
+        if wrapped <= 0:
+            return list(range(start, start + count))
+        return [*range(start, ltot), *range(wrapped)]
 
 
 class WorstPlacement:

@@ -19,13 +19,15 @@ Layers
     The lock table proper: one dict from granule to a light
     ``(owner, mode, seq)`` entry while one owner holds it, replaced in
     place by holder sets with a FIFO wait queue once a second request
-    reaches the granule.
+    reaches the granule.  One run loop grants each stretch of a
+    request's granules that is free to the owner, shared ones included.
 :mod:`repro.lockmgr.manager`
     :class:`LockManager` — preclaim (all-or-nothing) and incremental
     acquisition protocols over the table, with callback-based grants so
     it stays independent of any particular simulation kernel.
 :mod:`repro.lockmgr.deadlock`
-    Waits-for-graph construction and cycle detection (stdlib DFS).
+    :class:`DeadlockDetector`: one depth-first cycle search over the
+    manager's waits-for edges (stdlib only), and victim choice.
 """
 
 from repro.lockmgr.deadlock import DeadlockDetector

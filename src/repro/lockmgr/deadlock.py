@@ -6,59 +6,8 @@ footnote 1) does not.  This module provides detection over a
 :class:`~repro.lockmgr.manager.LockManager`'s waits-for edges using a
 stdlib-only iterative depth-first cycle search, plus a pluggable
 victim-selection policy.  The package stays zero-dependency: the
-digraph is a plain adjacency map, not a networkx graph.
+digraph is a plain waiter → holders dict, not a networkx graph.
 """
-
-
-class WaitsForGraph:
-    """A minimal waits-for digraph (waiter → holder adjacency map)."""
-
-    def __init__(self, edges=()):
-        self._succ = {}
-        for waiter, holder in edges:
-            self.add_edge(waiter, holder)
-
-    def add_edge(self, waiter, holder):
-        """Record that *waiter* blocks on *holder*."""
-        self._succ.setdefault(waiter, []).append(holder)
-
-    def successors(self, node):
-        """Owners that *node* waits on (empty tuple when none)."""
-        return tuple(self._succ.get(node, ()))
-
-    def find_cycle(self):
-        """One cycle as a list of owners, or ``None``.
-
-        Iterative DFS with an explicit stack and grey/black marking, so
-        arbitrarily long waiting chains cannot hit the interpreter
-        recursion limit.  Owners are visited in waits-for insertion
-        order, which keeps the result deterministic for a given lock
-        table without requiring owners to be hashable-and-sortable.
-        """
-        done = set()
-        for root in self._succ:
-            if root in done:
-                continue
-            path = [root]
-            on_path = {root}
-            stack = [iter(self.successors(root))]
-            while stack:
-                advanced = False
-                for nxt in stack[-1]:
-                    if nxt in on_path:
-                        return path[path.index(nxt):]
-                    if nxt not in done:
-                        path.append(nxt)
-                        on_path.add(nxt)
-                        stack.append(iter(self.successors(nxt)))
-                        advanced = True
-                        break
-                if not advanced:
-                    node = path.pop()
-                    on_path.discard(node)
-                    done.add(node)
-                    stack.pop()
-        return None
 
 
 class DeadlockDetector:
@@ -79,13 +28,43 @@ class DeadlockDetector:
         self._manager = manager
         self._victim_key = victim_key if victim_key is not None else lambda o: o
 
-    def graph(self):
-        """Build the current waits-for digraph (waiter → holder)."""
-        return WaitsForGraph(self._manager.waits_for_edges())
-
     def find_cycle(self):
-        """One deadlock cycle as a list of owners, or ``None``."""
-        return self.graph().find_cycle()
+        """One deadlock cycle as a list of owners, or ``None``.
+
+        Iterative DFS over the manager's waits-for edges with an
+        explicit stack and grey/black marking, so arbitrarily long
+        waiting chains cannot hit the interpreter recursion limit.
+        Roots and successors are visited in edge order, which keeps
+        the result deterministic for a given lock table without
+        requiring owners to be sortable.
+        """
+        succ = {}
+        for waiter, holder in self._manager.waits_for_edges():
+            succ.setdefault(waiter, []).append(holder)
+        done = set()
+        for root in succ:
+            if root in done:
+                continue
+            path = [root]
+            on_path = {root}
+            stack = [iter(succ[root])]
+            while stack:
+                advanced = False
+                for nxt in stack[-1]:
+                    if nxt in on_path:
+                        return path[path.index(nxt):]
+                    if nxt not in done:
+                        path.append(nxt)
+                        on_path.add(nxt)
+                        stack.append(iter(succ.get(nxt, ())))
+                        advanced = True
+                        break
+                if not advanced:
+                    node = path.pop()
+                    on_path.discard(node)
+                    done.add(node)
+                    stack.pop()
+        return None
 
     def choose_victim(self, cycle):
         """The owner in *cycle* with the largest victim key."""

@@ -142,11 +142,12 @@ class LockManager:
         granule that queued, or ``(len(granules), None)`` when every
         lock was granted.
 
-        Each stretch of granules nobody has locked is granted as light
-        entries by :meth:`LockTable.grant_free`, and the owner's held
+        Each stretch of granules free to *owner* (unlocked, or shared
+        with other owners in compatible modes and nobody queued) is
+        granted by :meth:`LockTable.grant_free`, and the owner's held
         set grows by one ``set.update`` per stretch, adding granules in
-        run order; only a granule that already has an entry goes
-        through :meth:`_admit`.
+        run order; only the granule a stretch stops at goes through
+        :meth:`_admit`.
         """
         grant_free = self.table.grant_free
         observer = self.observer

@@ -112,21 +112,40 @@ class LockTable:
         return entry
 
     def grant_free(self, granules, start, owner, mode):
-        """Give *owner* light entries on ``granules[start:]`` in order.
+        """Grant *owner* ``granules[start:]`` in order while each is free to it.
 
-        Stops at the first granule that already has an entry (a
-        granule repeated in the run has one by then) and returns its
-        index, or ``len(granules)`` when every granule was free.
+        A granule is free to *owner* when it has no entry, and then
+        gets a light one, or when every holder is another owner in a
+        mode compatible with *mode* and nobody waits; *owner* then
+        becomes its last holder, a light entry being materialised
+        first.  Stops at the first other granule (an incompatible
+        holder, a queue, or *owner*'s own entry: a repeat or an
+        upgrade) and returns its index, or ``len(granules)`` when every
+        granule was granted.
         """
         entries = self._entries
         seq = self.created
-        for index in range(start, len(granules)):
+        stop = len(granules)
+        for index in range(start, stop):
             granule = granules[index]
-            if granule in entries:
+            if granule not in entries:
+                entries[granule] = (owner, mode, seq)
+                seq += 1
+                continue
+            entry = entries[granule]
+            if type(entry) is tuple:
+                if entry[0] == owner or not compatible(entry[1], mode):
+                    stop = index
+                    break
+                entry = self.materialise(granule)
+            elif (
+                entry.waiters
+                or owner in entry.holders
+                or not entry.grantable(owner, mode)
+            ):
+                stop = index
                 break
-            entries[granule] = (owner, mode, seq)
-            seq += 1
-        stop = start + seq - self.created
+            entry.holders[owner] = mode
         self.created = seq
         return stop
 

@@ -54,6 +54,29 @@ class TestBestPlacement:
         granules = placement.granules(100, rng)
         assert set(granules) == set(range(10))
 
+    @pytest.mark.parametrize("ltot", [1, 2, 3, 5, 8])
+    def test_granules_equal_the_modulo_run(self, ltot):
+        class FixedStart:
+            """Returns *start* from the one ``randrange(ltot)`` draw."""
+
+            def __init__(self, start):
+                self.start = start
+                self.calls = []
+
+            def randrange(self, stop):
+                self.calls.append(stop)
+                return self.start
+
+        # dbsize == ltot makes lock_count(nu) == nu, so nu is the count.
+        placement = BestPlacement(dbsize=ltot, ltot=ltot)
+        for start in range(ltot):
+            for count in range(ltot + 1):
+                draws = FixedStart(start)
+                assert placement.granules(count, draws) == [
+                    (start + i) % ltot for i in range(count)
+                ]
+                assert draws.calls == [ltot]
+
 
 class TestWorstPlacement:
     def test_lock_count_min_rule(self):

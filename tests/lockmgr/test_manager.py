@@ -259,6 +259,93 @@ class TestBatchedAcquire:
         ]
 
 
+    @staticmethod
+    def count_admits(manager):
+        """Wrap *manager*'s ``_admit``; returns the list of admitted granules."""
+        admitted = []
+        admit = manager._admit
+
+        def counting(owner, granule, mode):
+            admitted.append(granule)
+            return admit(owner, granule, mode)
+
+        manager._admit = counting
+        return admitted
+
+    def test_shares_compatible_granules_in_the_run_loop(self):
+        manager = LockManager()
+        manager.acquire("T2", "b", LockMode.S)
+        manager.acquire("T2", "c", LockMode.S)
+        manager.acquire("T3", "c", LockMode.S)
+        manager.acquire("T3", "d", LockMode.X)
+        admitted = self.count_admits(manager)
+        index, request = manager.acquire_from(
+            "T1", ["a", "b", "c", "d", "e"], 0, LockMode.S
+        )
+        # Only the granule that queues goes through _admit.
+        assert (index, admitted) == (3, ["d"])
+        assert request.status is RequestStatus.WAITING
+        assert list(manager.table.holding("b")) == [
+            ("T2", LockMode.S),
+            ("T1", LockMode.S),
+        ]
+        assert [holder for holder, _ in manager.table.holding("c")] == [
+            "T2", "T3", "T1",
+        ]
+        assert manager.held_by("T1") == {"a", "b", "c"}
+        manager.check_invariants()
+
+    def test_stops_behind_a_queue_even_when_compatible(self):
+        manager = LockManager()
+        manager.acquire("T2", "b", LockMode.S)
+        waiter = manager.acquire("T3", "b", LockMode.X)
+        admitted = self.count_admits(manager)
+        index, request = manager.acquire_from("T1", ["a", "b"], 0, LockMode.S)
+        assert (index, admitted) == (1, ["b"])
+        assert list(manager.table.peek("b").waiters) == [waiter, request]
+        manager.check_invariants()
+
+    def test_upgrade_of_the_owners_own_entry_goes_through_admit(self):
+        manager = LockManager()
+        manager.acquire("T1", "b", LockMode.S)
+        admitted = self.count_admits(manager)
+        assert manager.acquire_from("T1", ["a", "b", "c"], 0, LockMode.X) == (
+            3,
+            None,
+        )
+        assert admitted == ["b"]
+        assert manager.table.mode_of("b", "T1") is LockMode.X
+        manager.check_invariants()
+
+    @pytest.mark.parametrize("mode", [LockMode.S, LockMode.X])
+    def test_matches_per_granule_acquire(self, mode):
+        def setup():
+            events = []
+            manager = LockManager(observer=lambda *event: events.append(event))
+            manager.acquire("T2", 1, LockMode.S)
+            manager.acquire("T2", 3, LockMode.S)
+            manager.acquire("T3", 3, LockMode.S)
+            manager.acquire("T0", 5, LockMode.S)
+            manager.acquire("T0", 7, LockMode.X)
+            events.clear()
+            return manager, events
+
+        run = [0, 1, 2, 3, 4, 5, 6, 7, 8]
+        batched, batched_events = setup()
+        index, request = batched.acquire_from("T1", run, 0, mode)
+        single, single_events = setup()
+        for position, granule in enumerate(run):
+            if single.acquire("T1", granule, mode).status is RequestStatus.WAITING:
+                break
+        assert index == position and request.granule == granule
+        assert batched_events == single_events
+        assert list(batched.held_by("T1")) == list(single.held_by("T1"))
+        assert [repr(row) for row in rows(batched.table)] == [
+            repr(row) for row in rows(single.table)
+        ]
+        batched.check_invariants()
+
+
 def rows(table):
     """The logical table as comparable ``(seq, granule, holders, waiters)``."""
     return [

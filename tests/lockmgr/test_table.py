@@ -85,6 +85,64 @@ class TestLockTable:
         assert [row[0] for row in table.entries()] == [0, 1, 2, 3, 4]
         table.check_invariants()
 
+    def test_grant_free_shares_another_owners_light_s_entry(self):
+        table = LockTable()
+        table.grant("b", "T2", LockMode.S)
+        assert table.grant_free(["a", "b", "c"], 0, "T1", LockMode.S) == 3
+        state = table.peek("b")
+        assert state is not None and state.seq == 0
+        assert list(table.holding("b")) == [
+            ("T2", LockMode.S),
+            ("T1", LockMode.S),
+        ]
+        assert [row[:2] for row in table.entries()] == [(0, "b"), (1, "a"), (2, "c")]
+        table.check_invariants()
+
+    def test_grant_free_joins_an_s_state_with_two_holders(self):
+        table = LockTable()
+        table.grant("b", "T2", LockMode.S)
+        table.grant("b", "T3", LockMode.S)
+        state = table.peek("b")
+        assert table.grant_free(["b", "c"], 0, "T1", LockMode.S) == 2
+        assert table.peek("b") is state
+        assert list(table.holding("b")) == [
+            ("T2", LockMode.S),
+            ("T3", LockMode.S),
+            ("T1", LockMode.S),
+        ]
+        table.check_invariants()
+
+    def test_grant_free_stops_at_a_queued_granule(self):
+        from repro.lockmgr.manager import LockRequest
+
+        table = LockTable()
+        table.grant("b", "T2", LockMode.S)
+        table.state("b").waiters.append(LockRequest("T3", "b", LockMode.X))
+        assert table.grant_free(["a", "b", "c"], 0, "T1", LockMode.S) == 1
+        assert list(table.holding("b")) == [("T2", LockMode.S)]
+        assert "c" not in table
+
+    def test_grant_free_stops_at_an_incompatible_holder(self):
+        table = LockTable()
+        table.grant("b", "T2", LockMode.X)
+        table.grant("c", "T2", LockMode.S)
+        table.grant("c", "T3", LockMode.X)
+        assert table.grant_free(["a", "b"], 0, "T1", LockMode.S) == 1
+        # Stopping reads the light entry without materialising it.
+        assert table.peek("b") is None
+        assert table.grant_free(["c"], 0, "T1", LockMode.S) == 0
+        assert list(table.holding("c")) == [("T2", LockMode.S), ("T3", LockMode.X)]
+
+    def test_grant_free_stops_at_the_owners_own_entry(self):
+        table = LockTable()
+        table.grant("a", "T1", LockMode.S)
+        table.grant("b", "T1", LockMode.S)
+        table.grant("b", "T2", LockMode.S)
+        assert table.grant_free(["a"], 0, "T1", LockMode.S) == 0
+        assert table.grant_free(["b"], 0, "T1", LockMode.X) == 0
+        assert table.peek("a") is None
+        assert table.mode_of("b", "T1") is LockMode.S
+
     def test_locked_granules_filtering(self):
         table = LockTable()
         table.grant("a", "T1", LockMode.S)
